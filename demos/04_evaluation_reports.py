@@ -38,15 +38,19 @@ config = TrainConfig(k=4, learning_rate=0.05, reg_w=1e-4, reg_v=1e-4,
 model = train_ova(train, 12, config)
 print("labels:", model.labels)
 
+# The model scores a whole batch at once: one row per instance, one column
+# per label.  The predicted tag is each row's argmax.
+xs = [x for x, _ in test]
 gold = [tag for _, tag in test]
-pred = [model.predict_label(x) for x, _ in test]
+scores = model.predict_scores(xs)
+pred = model.best_labels(scores)  # same as model.predict_label(xs), without rescoring
 report = evaluate(gold, pred)
 print()
 print(format_report(report))
 
 # Raw per-label scores feed threshold-free PR curves, one per entity tag.
-scores = [dict(model.predict_scores(x)) for x, _ in test]
-points = pr_curve([(s["PER"], g == "PER") for s, g in zip(scores, gold)])
+per = scores[:, model.labels.index("PER")]
+points = pr_curve([(s, g == "PER") for s, g in zip(per.tolist(), gold)])
 print("\nPER precision-recall curve (every 20th point):")
 for precision, recall in points[::20]:
     print(f"  recall {recall:5.2f}  precision {precision:5.2f}")

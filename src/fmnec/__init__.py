@@ -36,12 +36,6 @@ from .corpus import (
     write_candidates_tsv,
 )
 from .evaluate import EvalReport, PRF, evaluate, format_report, pr_curve, sweep_k
-from .sparse_text import (
-    read_sparse_text,
-    read_tagged_sparse_text,
-    write_sparse_text,
-    write_tagged_sparse_text,
-)
 
 __all__ = [
     "Candidate",
@@ -72,8 +66,6 @@ __all__ = [
     "parse_column_file",
     "pr_curve",
     "read_candidates_tsv",
-    "read_sparse_text",
-    "read_tagged_sparse_text",
     "repair_bio",
     "save_fm_model",
     "save_ova_model",
@@ -82,6 +74,4 @@ __all__ = [
     "train_binary",
     "train_ova",
     "write_candidates_tsv",
-    "write_sparse_text",
-    "write_tagged_sparse_text",
 ]

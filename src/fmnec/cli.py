@@ -12,8 +12,6 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
     CorpusStats,
@@ -111,15 +109,9 @@ def _load_model_and_space(args):
     return model, space
 
 
-def _score_candidates(model, space, candidates):
-    """Raw score matrix (candidates x labels) plus argmax tags."""
-    scores = np.empty((len(candidates), len(model.labels)))
-    preds = []
-    for row, candidate in enumerate(candidates):
-        x = space.vectorize_candidate(candidate)
-        scores[row] = [score for _, score in model.predict_scores(x)]
-        preds.append(model.labels[int(np.argmax(scores[row]))])
-    return scores, preds
+def _score(model, space, candidates):
+    """Raw score matrix (candidates x labels) of the candidates."""
+    return model.predict_scores([space.vectorize_candidate(c) for c in candidates])
 
 
 def cmd_prepare(args):
@@ -175,7 +167,8 @@ def cmd_train(args):
 def cmd_predict(args):
     model, space = _load_model_and_space(args)
     candidates = _read_candidates(args.candidates)
-    scores, preds = _score_candidates(model, space, candidates)
+    scores = _score(model, space, candidates)
+    preds = model.best_labels(scores)
     with atomic_write(args.out) as fh:
         fh.write("# pred\tgold\t" + "\t".join(model.labels) + "\n")
         for row, candidate in enumerate(candidates):
@@ -212,8 +205,8 @@ def cmd_eval(args):
     model, space = _load_model_and_space(args)
     candidates = _read_candidates(args.candidates, need_gold=True)
     gold = [c.gold_tag for c in candidates]
-    scores, preds = _score_candidates(model, space, candidates)
-    report = evaluate(gold, preds)
+    scores = _score(model, space, candidates)
+    report = evaluate(gold, model.best_labels(scores))
     os.makedirs(args.out, exist_ok=True)
     with atomic_write(os.path.join(args.out, REPORT_TXT)) as fh:
         fh.write(format_report(report) + "\n")
@@ -231,7 +224,7 @@ def cmd_pr_curve(args):
     model, space = _load_model_and_space(args)
     candidates = _read_candidates(args.candidates, need_gold=True)
     gold = [c.gold_tag for c in candidates]
-    scores, _ = _score_candidates(model, space, candidates)
+    scores = _score(model, space, candidates)
     os.makedirs(args.out, exist_ok=True)
     written = _write_pr_curves(model, gold, scores, args.out)
     log.info("wrote %d PR curve files to %s", written, args.out)

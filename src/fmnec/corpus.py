@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DataFormatError
 from .features import Candidate
-from .util import atomic_write, format_table
+from .util import atomic_write, format_table, open_text
 
 
 @dataclass
@@ -56,7 +56,7 @@ def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[
             sentences.append(Sentence(list(zip(words, tags))))
             current.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -195,7 +195,7 @@ def write_candidates_tsv(path, candidates) -> None:
 
 def read_candidates_tsv(path) -> list[Candidate]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
             if not line:

@@ -104,12 +104,12 @@ def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
         raise ConfigError("k values must be >= 0")
     train = list(train)
     dev = list(dev)
+    xs = [x for x, _ in dev]
     gold = [tag for _, tag in dev]
     results = []
     for k in k_values:
         model = train_ova(train, n, replace(config, k=k))
-        pred = [model.predict_label(x) for x, _ in dev]
-        results.append((k, evaluate(gold, pred).micro.f1))
+        results.append((k, evaluate(gold, model.predict_label(xs)).micro.f1))
     return results
 
 

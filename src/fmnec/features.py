@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .fm import SparseVector
-from .util import atomic_write
+from .util import atomic_write, open_text
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class FeatureSpace:
 
     @classmethod
     def load(cls, path) -> "FeatureSpace":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             names = [line.rstrip("\n") for line in fh]
         try:
             return cls(names)

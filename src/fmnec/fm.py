@@ -11,8 +11,11 @@ evaluates the interaction term through the factored identity
     0.5 * sum_f [ (sum_i V[i,f] x[i])^2 - sum_i (V[i,f] x[i])^2 ]
 
 touching only nonzero entries, so the cost is O(nnz * k) instead of
-quadratic in nnz.  ``predict_raw_naive`` is the literal pairwise double
-loop, kept as an independent cross-check oracle.
+quadratic in nnz.  The same identity scores a whole batch at once
+(``_Batch``): the nonzeros of every instance are stacked into flat arrays
+and summed per row with ``np.bincount``, so ``predict_raw`` and the
+one-vs-all scorer share one kernel.  ``predict_raw_naive`` is the literal
+pairwise double loop, kept as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .util import LineCursor, atomic_write, format_g17
+from .util import LineCursor, atomic_write, format_g17, open_text
 
 MODEL_FORMAT_HEADER = "FMMODEL v1"
 
@@ -145,29 +148,13 @@ class FMModel:
     def __repr__(self):
         return f"FMModel(n={self.n}, k={self.k})"
 
-    def _check_instance(self, x: SparseVector) -> None:
-        if x.nnz and int(x.indices[-1]) >= self.n:
-            raise DimensionMismatchError(
-                f"feature index {int(x.indices[-1])} out of range for n={self.n}"
-            )
-
     def predict_raw(self, x: SparseVector) -> float:
         """Raw score through the factored interaction identity, O(nnz * k)."""
-        self._check_instance(x)
-        idx = x.indices
-        vals = x.values
-        score = self.w0
-        if idx.size:
-            score += float(self.w[idx] @ vals)
-        if self.k and idx.size > 1:
-            scaled = self.V[idx] * vals[:, None]
-            per_factor = scaled.sum(axis=0)
-            score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
-        return score
+        return float(_Batch([x]).scores(self)[0])
 
     def predict_raw_naive(self, x: SparseVector) -> float:
         """Raw score through the literal pairwise double loop (cross-check oracle)."""
-        self._check_instance(x)
+        _check_dimension(int(x.indices[-1]) if x.nnz else -1, self.n)
         idx = x.indices.tolist()
         vals = x.values.tolist()
         score = self.w0
@@ -184,6 +171,49 @@ class FMModel:
         if not (0 <= i < n and 0 <= j < n):
             raise DimensionMismatchError(f"feature pair ({i}, {j}) out of range for n={n}")
         return float(self.V[i] @ self.V[j])
+
+
+def _check_dimension(top: int, n: int) -> None:
+    if top >= n:
+        raise DimensionMismatchError(f"feature index {top} out of range for n={n}")
+
+
+class _Batch:
+    """Instances stacked once into flat arrays, scored against any model.
+
+    Entry j is the nonzero ``values[j]`` of feature ``indices[j]`` in row
+    ``rows[j]``.  Every per-row sum is one ``np.bincount`` over ``rows``, so
+    empty rows score exactly ``w0`` and a single nonzero has an exactly-zero
+    interaction term.
+    """
+
+    __slots__ = ("size", "rows", "indices", "values", "top")
+
+    def __init__(self, xs):
+        xs = list(xs)
+        self.size = len(xs)
+        nnz = np.fromiter((x.nnz for x in xs), dtype=np.int64, count=self.size)
+        self.rows = np.repeat(np.arange(self.size), nnz)
+        self.indices = np.concatenate([x.indices for x in xs] or [np.empty(0, np.int64)])
+        self.values = np.concatenate([x.values for x in xs] or [np.empty(0)])
+        self.top = int(self.indices.max()) if self.indices.size else -1
+
+    def _sum(self, weights) -> np.ndarray:
+        return np.bincount(self.rows, weights=weights, minlength=self.size)
+
+    def scores(self, model: FMModel) -> np.ndarray:
+        """Raw score of every row: w0 + <w, x> + 0.5 * sum_f [(XV)_f^2 - (X^2 V^2)_f]."""
+        _check_dimension(self.top, model.n)
+        idx, vals = self.indices, self.values
+        out = model.w0 + self._sum(model.w[idx] * vals)
+        if model.k:
+            pairs = np.zeros(self.size)
+            for f in range(model.k):
+                column = model.V[idx, f] * vals
+                total = self._sum(column)
+                pairs += total * total - self._sum(column * column)
+            out += 0.5 * pairs
+        return out
 
 
 def write_fm_model(fh, model: FMModel) -> None:
@@ -210,11 +240,10 @@ def read_fm_model(cursor: LineCursor) -> FMModel:
         raise cursor.error("model dimensions must be non-negative")
     w0 = _take_floats(cursor, "bias", 1)[0]
     w = _take_floats(cursor, "linear weights", n)
-    V = np.empty((n, k))
-    for i in range(n):
-        V[i] = _take_floats(cursor, f"factor row {i}", k)
+    # rows are read before anything is allocated, so a bogus k costs nothing
+    rows = [_take_floats(cursor, f"factor row {i}", k) for i in range(n)]
     try:
-        return FMModel(w0, w, V)
+        return FMModel(w0, w, np.array(rows, dtype=np.float64).reshape(n, k))
     except ValueError as exc:
         raise cursor.error(str(exc)) from None
 
@@ -235,7 +264,7 @@ def save_fm_model(model: FMModel, path) -> None:
 
 
 def load_fm_model(path) -> FMModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         cursor = LineCursor(fh.readlines(), path=str(path))
     model = read_fm_model(cursor)
     if not cursor.at_end():

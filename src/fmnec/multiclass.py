@@ -7,9 +7,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, SparseVector, read_fm_model, write_fm_model
+from .fm import FMModel, _Batch, read_fm_model, write_fm_model
 from .train import LabeledInstance, TrainConfig, train_binary
-from .util import LineCursor, atomic_write, derive_seed
+from .util import LineCursor, atomic_write, derive_seed, open_text
 
 OVA_FORMAT_HEADER = "FMOVA v1"
 
@@ -40,14 +40,24 @@ class OvAModel:
     def k(self) -> int:
         return self.models[0].k
 
-    def predict_scores(self, x: SparseVector) -> list[tuple[str, float]]:
-        """Raw score per tag, in label order."""
-        return [(label, model.predict_raw(x)) for label, model in zip(self.labels, self.models)]
+    def predict_scores(self, xs) -> np.ndarray:
+        """Raw scores of a batch of instances, shape (len(xs), labels), columns in label order."""
+        return self._scores(xs)
 
-    def predict_label(self, x: SparseVector) -> str:
-        """Argmax of the raw scores; ties go to the lexicographically smallest tag."""
-        scores = [model.predict_raw(x) for model in self.models]
-        return self.labels[int(np.argmax(scores))]
+    def predict_label(self, xs) -> list[str]:
+        """Argmax tag of every instance in a batch, with the tie rule of ``best_labels``."""
+        return self.best_labels(self._scores(xs))
+
+    def best_labels(self, scores: np.ndarray) -> list[str]:
+        """Argmax tag per row of a score matrix; ties go to the lexicographically smallest tag."""
+        # labels are sorted and np.argmax returns the first maximum
+        return [self.labels[i] for i in np.argmax(scores, axis=1).tolist()]
+
+    def _scores(self, xs) -> np.ndarray:
+        # one body behind both public methods, so predict_label never runs
+        # inside predict_scores (bench/layers.py times each as its own span)
+        batch = _Batch(xs)
+        return np.stack([batch.scores(model) for model in self.models], axis=1)
 
     def __eq__(self, other):
         if not isinstance(other, OvAModel):
@@ -61,6 +71,7 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     Each label trains under a seed derived from (config.seed, label), so the
     result is reproducible and independent of tag order in ``data``.
     ``on_epoch``, when given, receives (label, epoch index, mean loss).
+    A diverging label raises ``ConfigError`` naming the label and the epoch.
     """
     data = list(data)
     if not data:
@@ -76,7 +87,10 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
         if on_epoch is not None:
             def callback(epoch, mean_loss, _label=label):
                 on_epoch(_label, epoch, mean_loss)
-        models.append(train_binary(binary, n, label_config, on_epoch=callback))
+        try:
+            models.append(train_binary(binary, n, label_config, on_epoch=callback))
+        except ConfigError as exc:
+            raise ConfigError(f"label {label}: {exc}") from None
     return OvAModel(labels, models)
 
 
@@ -118,7 +132,7 @@ def save_ova_model(model: OvAModel, path) -> None:
 
 
 def load_ova_model(path) -> OvAModel:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         cursor = LineCursor(fh.readlines(), path=str(path))
     model = read_ova_model(cursor)
     if not cursor.at_end():

@@ -165,7 +165,8 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
     per-epoch visiting order derive from ``config.seed``.  With
     ``config.shuffle`` off, instances are visited in input order.
     ``on_epoch``, when given, receives (epoch index, mean pre-update loss
-    of the pass).
+    of the pass).  Raises ``ConfigError`` when training diverges: an epoch's
+    mean loss or the final parameters are not finite.
     """
     data = list(data)
     if not data:
@@ -185,6 +186,17 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
         total = 0.0
         for t in order:
             total += _step(model, data[t], config)
+        mean_loss = total / len(data)
+        if not math.isfinite(mean_loss):
+            raise ConfigError(
+                f"training diverged at epoch {epoch + 1}: mean loss {mean_loss}; "
+                "lower the learning rate or the regularization"
+            )
         if on_epoch is not None:
-            on_epoch(epoch, total / len(data))
+            on_epoch(epoch, mean_loss)
+    if not (math.isfinite(model.w0) and np.isfinite(model.w).all() and np.isfinite(model.V).all()):
+        raise ConfigError(
+            f"training diverged at epoch {config.epochs}: parameters are not finite; "
+            "lower the learning rate or the regularization"
+        )
     return model

@@ -1,4 +1,4 @@
-"""Shared plumbing: atomic file writes, stable seed derivation, line parsing."""
+"""Shared plumbing: atomic file writes, text reading, stable seed derivation, line parsing."""
 
 from __future__ import annotations
 
@@ -50,6 +50,35 @@ def atomic_write(path):
             pass
         raise
     os.replace(tmp, path)
+
+
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading.
+
+    A decode error anywhere in the file becomes a ``DataFormatError`` naming
+    the first line that is not valid UTF-8.  The file is scanned for that
+    line only once decoding has failed, so valid input costs nothing extra.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise DataFormatError(
+                "not valid UTF-8 text", path=str(path), line=_first_undecodable_line(path)
+            ) from None
+
+
+def _first_undecodable_line(path) -> int | None:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # text-mode line numbers count \n, \r and \r\n, exactly as bytes.splitlines does
+    for lineno, raw in enumerate(data.splitlines(), 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+    return None
 
 
 class LineCursor:

@@ -61,6 +61,33 @@ def test_criterion_1_oracle_equivalence():
         assert elapsed < 5.0, f"oracle sweep took {elapsed:.1f}s"
 
 
+def test_criterion_1_batch_scoring_matches_oracle():
+    with criterion(1, "batch one-vs-all scores match the pairwise oracle"):
+        rng = np.random.default_rng(1011)
+        for _ in range(5):
+            n = int(rng.integers(1, 201))
+            k = int(rng.integers(0, 17))
+            labels = sorted({f"tag{int(v):02d}" for v in rng.integers(0, 20, size=4)})
+            model = OvAModel(labels, [random_model(rng, n, k) for _ in labels])
+            xs = [random_instance(rng, n, min(n, 40)) for _ in range(200)]
+            xs += [SparseVector.empty(), SparseVector.empty()]
+            xs += [random_instance(rng, n, 1, min_nnz=1) for _ in range(20)]
+            order = rng.permutation(len(xs))
+            xs = [xs[i] for i in order]
+
+            scores = model.predict_scores(xs)
+            assert scores.shape == (len(xs), len(labels))
+            naive = np.array([[m.predict_raw_naive(x) for m in model.models] for x in xs])
+            assert np.all(np.abs(scores - naive) <= 1e-9 * (1 + np.abs(naive)))
+
+            # per-row argmax; ties go to the lexicographically smallest tag
+            expected = [
+                min(lab for lab, s in zip(labels, row) if s == max(row))
+                for row in scores.tolist()
+            ]
+            assert model.predict_label(xs) == expected
+
+
 def test_criterion_2_gradient_checks():
     with criterion(2, "analytic gradients match central finite differences"):
         rng = np.random.default_rng(1002)
@@ -209,10 +236,9 @@ def test_criterion_6_serialization_round_trip(tmp_path):
         save_ova_model(model, path)
         loaded = load_ova_model(path)
         assert loaded == model
-        for _ in range(100):
-            x = random_instance(rng, 60, 20)
-            assert loaded.predict_scores(x) == model.predict_scores(x)
-            assert loaded.predict_label(x) == model.predict_label(x)
+        xs = [random_instance(rng, 60, 20) for _ in range(100)]
+        assert np.array_equal(loaded.predict_scores(xs), model.predict_scores(xs))
+        assert loaded.predict_label(xs) == model.predict_label(xs)
 
 
 def _find_conll_files(root):
@@ -270,7 +296,7 @@ def test_criterion_7_conll2003_reproduction():
         config = TrainConfig()  # the documented defaults: k=5, lr=0.05, reg 1e-4, 100 epochs
 
         model = train_ova(train, len(space), config)
-        pred = [model.predict_label(x) for x, _ in test]
+        pred = model.predict_label([x for x, _ in test])
         micro_f1 = 100.0 * evaluate([t for _, t in test], pred).micro.f1
         print(f"  test micro F1 = {micro_f1:.2f}")
         assert abs(micro_f1 - 57.27) <= 3.0
@@ -337,4 +363,4 @@ def test_criterion_8_invariant_suite():
                 [FMModel(b, np.zeros(0), np.zeros((0, 0))) for b in biases],
             )
             winners = [lab for lab, b in zip(labels, biases) if b == top]
-            assert model.predict_label(SparseVector.empty()) == min(winners)
+            assert model.predict_label([SparseVector.empty()]) == [min(winners)]

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import fmnec
 from fmnec import read_candidates_tsv
 from fmnec.cli import main
 
@@ -224,3 +229,41 @@ class TestExitCodes:
             "--lr", "0", "--out", str(tmp_path / "m"),
         ])
         assert code == 1
+
+    def test_divergent_training_is_config_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert main([
+            "train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
+            "--k", "2", "--lr", "50", "--loss", "logistic", "--reg-w", "10", "--reg-v", "10",
+            "--epochs", "3", "--out", str(out),
+        ]) == 1
+        assert "diverged" in capsys.readouterr().err
+        assert not (out / "ova_model.txt").exists()
+
+
+def _run_cli(*argv):
+    """Run ``fmnec`` in a child process so that a crash shows as a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "fmnec.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+class TestNonUtf8Input:
+    @pytest.fixture()
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"PER\tJohn\tsaid\thello\nO\tMary\xff\t\t\n")
+        return path
+
+    def test_stats_is_data_error(self, bad_file):
+        result = _run_cli("stats", str(bad_file))
+        assert result.returncode == 2
+        assert f"{bad_file}:2: not valid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_prepare_is_data_error(self, bad_file, tmp_path):
+        result = _run_cli("prepare", "--train", str(bad_file), "--out", str(tmp_path / "p"))
+        assert result.returncode == 2
+        assert f"{bad_file}:2: not valid UTF-8" in result.stderr
+        assert "Traceback" not in result.stderr

@@ -220,6 +220,7 @@ class TestModelFile:
             "FMMODEL v1\n1 1\n0\n0\n",          # truncated V
             "FMMODEL v1\n1 1\nzero\n0\n0\n",    # non-numeric
             "FMMODEL v1\n1 1\n0\n0 0\n0\n",     # wrong w arity
+            "FMMODEL v1\n0 99999999999999999999\n0\n\n",  # k too large for any array
         ],
     )
     def test_rejects_malformed(self, tmp_path, content):

@@ -4,6 +4,7 @@ import pytest
 from fmnec import (
     ConfigError,
     DataFormatError,
+    DimensionMismatchError,
     FMModel,
     OvAModel,
     SparseVector,
@@ -65,7 +66,7 @@ class TestTrainOva:
                 data.append((SparseVector([i % 5], [1.0]), "LOC"))
         model = train_ova(data, 8, cfg(epochs=50))
         probe = SparseVector([7], [1.0])
-        scores = dict(model.predict_scores(probe))
+        scores = dict(zip(model.labels, model.predict_scores([probe])[0]))
         assert scores["PER"] > 0
         assert scores["LOC"] < 0
 
@@ -73,8 +74,12 @@ class TestTrainOva:
         data = [(SparseVector([0], [1.0]), "O"), (SparseVector([1], [1.0]), "O")]
         model = train_ova(data, 2, cfg(epochs=5))
         assert model.labels == ["O"]
-        assert model.predict_label(SparseVector([1], [1.0])) == "O"
-        assert model.predict_label(SparseVector.empty()) == "O"
+        assert model.predict_label([SparseVector([1], [1.0]), SparseVector.empty()]) == ["O", "O"]
+
+    def test_divergence_names_label_and_epoch(self):
+        config = TrainConfig(k=2, learning_rate=50, loss="logistic", reg_w=10, reg_v=10, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="label ENT: .*epoch 3"):
+            train_ova(make_xor_tagged(10, 1), 2, config)
 
     def test_empty_data_rejected(self):
         with pytest.raises(ConfigError):
@@ -107,20 +112,28 @@ class TestPredictScores:
         return OvAModel(["LOC", "O", "PER"], [bias_model(0.2), bias_model(-1.0), bias_model(0.9)])
 
     def test_empty_instance_returns_biases(self):
-        scores = self.make().predict_scores(SparseVector.empty())
-        assert scores == [("LOC", 0.2), ("O", -1.0), ("PER", 0.9)]
+        scores = self.make().predict_scores([SparseVector.empty()])
+        assert scores.tolist() == [[0.2, -1.0, 0.9]]
 
     def test_label_order(self):
-        assert [tag for tag, _ in self.make().predict_scores(SparseVector.empty())] == [
-            "LOC",
-            "O",
-            "PER",
-        ]
+        model = OvAModel(["LOC", "O", "PER"], [bias_model(1.0), bias_model(2.0), bias_model(3.0)])
+        assert model.predict_scores([SparseVector.empty()]).tolist() == [[1.0, 2.0, 3.0]]
 
     def test_pure(self):
         model = self.make()
-        x = SparseVector.empty()
-        assert model.predict_scores(x) == model.predict_scores(x)
+        xs = [SparseVector.empty()]
+        assert np.array_equal(model.predict_scores(xs), model.predict_scores(xs))
+
+    def test_one_row_per_instance(self):
+        model = OvAModel(["A", "B"], [bias_model(0.5, n=3, k=2), bias_model(-0.5, n=3, k=2)])
+        assert model.predict_scores([SparseVector.empty()] * 4).shape == (4, 2)
+        assert model.predict_scores([]).shape == (0, 2)
+        assert model.predict_label([]) == []
+
+    def test_out_of_range_index_rejected(self):
+        model = OvAModel(["A", "B"], [bias_model(0.0, n=3), bias_model(0.0, n=3)])
+        with pytest.raises(DimensionMismatchError, match="feature index 3 out of range for n=3"):
+            model.predict_scores([SparseVector([0], [1.0]), SparseVector([1, 3], [1.0, 1.0])])
 
 
 class TestPredictLabel:
@@ -128,13 +141,13 @@ class TestPredictLabel:
         model = OvAModel(
             ["LOC", "O", "PER"], [bias_model(0.2), bias_model(-1.0), bias_model(0.9)]
         )
-        assert model.predict_label(SparseVector.empty()) == "PER"
+        assert model.predict_label([SparseVector.empty()]) == ["PER"]
 
     def test_tie_breaks_lexicographically(self):
         model = OvAModel(
             ["LOC", "O", "PER"], [bias_model(0.5), bias_model(-1.0), bias_model(0.5)]
         )
-        assert model.predict_label(SparseVector.empty()) == "LOC"
+        assert model.predict_label([SparseVector.empty()]) == ["LOC"]
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(0)
@@ -144,12 +157,18 @@ class TestPredictLabel:
             shift = float(rng.normal())
             base = OvAModel(labels, [bias_model(float(b)) for b in biases])
             shifted = OvAModel(labels, [bias_model(float(b) + shift) for b in biases])
-            x = SparseVector.empty()
-            assert base.predict_label(x) == shifted.predict_label(x)
+            xs = [SparseVector.empty()]
+            assert base.predict_label(xs) == shifted.predict_label(xs)
 
     def test_result_is_a_known_label(self):
         model = OvAModel(["X", "Y"], [bias_model(-3.0), bias_model(-5.0)])
-        assert model.predict_label(SparseVector.empty()) in model.labels
+        [label] = model.predict_label([SparseVector.empty()])
+        assert label in model.labels
+
+    def test_best_labels_reuses_scores(self):
+        model = OvAModel(["A", "B", "C"], [bias_model(0.0)] * 3)
+        scores = np.array([[0.0, 2.0, 1.0], [3.0, 3.0, 3.0], [-1.0, -2.0, -0.5]])
+        assert model.best_labels(scores) == ["B", "A", "C"]
 
 
 class TestOvaFile:

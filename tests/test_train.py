@@ -16,7 +16,7 @@ from fmnec import (
     train_binary,
 )
 
-from helpers import accuracy, random_instance, random_model, xor_clean_instances
+from helpers import accuracy, make_xor_tagged, random_instance, random_model, xor_clean_instances
 
 
 def cfg(**kwargs):
@@ -257,3 +257,16 @@ class TestTrainBinary:
         data = [LabeledInstance(SparseVector([9], [1.0]), 1)]
         with pytest.raises(DimensionMismatchError):
             train_binary(data, 3, cfg())
+
+    def test_divergent_loss_raises(self):
+        data = [LabeledInstance(x, 1 if tag == "ENT" else -1) for x, tag in make_xor_tagged(10, 1)]
+        config = cfg(k=2, learning_rate=50, loss="logistic", reg_w=10, reg_v=10, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="diverged at epoch 3"):
+            train_binary(data, 2, config)
+
+    def test_non_finite_final_parameters_raise(self):
+        # the only epoch sees a finite loss; its update overflows w[0] to inf
+        data = [LabeledInstance(SparseVector([0], [2.0]), 1)]
+        config = cfg(k=0, learning_rate=1e308, epochs=1, init_sd=0)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="not finite"):
+            train_binary(data, 1, config)

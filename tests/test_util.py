@@ -1,8 +1,19 @@
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fmnec.util import atomic_write, derive_seed, format_g17
+from fmnec import (
+    ConfigError,
+    DataFormatError,
+    FeatureSpace,
+    load_fm_model,
+    load_ova_model,
+    parse_column_file,
+    read_candidates_tsv,
+)
+from fmnec.util import atomic_write, derive_seed, format_g17, open_text
 
 
 class TestAtomicWrite:
@@ -50,3 +61,63 @@ class TestFormatG17:
     @pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 3.141592653589793, 1.0])
     def test_round_trips(self, value):
         assert float(format_g17(value)) == value
+
+
+class TestOpenText:
+    def test_reads_valid_text(self, tmp_path):
+        path = tmp_path / "ok.txt"
+        path.write_bytes("café\nline two\n".encode("utf-8"))
+        with open_text(path) as fh:
+            assert fh.read() == "café\nline two\n"
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"\xff\n", 1),
+            (b"good\nalso good\n\xffbad\n", 3),
+            (b"a\r\nb\rc\n\xc3\n", 4),  # text-mode numbering counts \r and \r\n
+            (b"ok\ntruncated \xe2\x82", 2),
+        ],
+    )
+    def test_decode_error_names_the_line(self, tmp_path, data, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError, match=rf"bad\.txt:{line}: not valid UTF-8"):
+            with open_text(path) as fh:
+                fh.read()
+
+
+# a known prefix steers the random tail past each reader's header checks
+HEADERS = [
+    b"",
+    b"-DOCSTART- -X- -X- O\n",
+    b"PER\tJohn Smith\tsaid\tyesterday\n",
+    b"FMMODEL v1\n",
+    b"FMMODEL v1\n2 1\n0.5\n1 2\n",
+    b"FMOVA v1\n1\nPER\nFMMODEL v1\n",
+]
+READERS = {
+    "parse_column_file": parse_column_file,
+    "read_candidates_tsv": read_candidates_tsv,
+    "FeatureSpace.load": FeatureSpace.load,
+    "load_fm_model": load_fm_model,
+    "load_ova_model": load_ova_model,
+}
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("hostile") / "input"
+
+
+@given(
+    reader=st.sampled_from(sorted(READERS)),
+    data=st.tuples(st.sampled_from(HEADERS), st.binary(max_size=300)).map(b"".join),
+)
+@settings(max_examples=300, deadline=None)
+def test_readers_raise_only_documented_errors(scratch_file, reader, data):
+    scratch_file.write_bytes(data)
+    try:
+        READERS[reader](scratch_file)
+    except (DataFormatError, ConfigError):
+        pass
