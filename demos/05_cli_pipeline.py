@@ -2,7 +2,7 @@
 """The command-line pipeline end to end on a generated corpus.
 
 Writes a synthetic column-format corpus, then drives the installed CLI
-through prepare -> stats -> train -> predict -> eval -> sweep-k -> pr-curve.
+through prepare -> stats -> train -> predict -> eval -> sweep-k.
 Every output lands under ./demo_output; rerunning the script reproduces the
 files byte for byte.
 """
@@ -73,10 +73,6 @@ run("sweep-k", "--train", f"{prepared}/train.candidates.tsv",
     "--dev", f"{prepared}/test.candidates.tsv",
     "--k-values", "0,1,2,4", "--epochs", "20", "--lr", "0.02",
     "--out", f"{ROOT}/k_sweep.tsv")
-run("pr-curve", "--model", f"{modeldir}/ova_model.txt",
-    "--space", f"{modeldir}/feature_space.txt",
-    "--candidates", f"{prepared}/test.candidates.tsv",
-    "--out", f"{ROOT}/curves")
 
 print("\nartifacts under", ROOT + ":")
 for dirpath, _, names in sorted(os.walk(ROOT)):

@@ -1,4 +1,4 @@
-"""Command-line pipeline: prepare, stats, train, predict, eval, sweep-k, pr-curve.
+"""Command-line pipeline: prepare, stats, train, predict, eval, sweep-k.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 All file writes are atomic, so interrupted runs never leave partial
@@ -14,6 +14,7 @@ import sys
 
 from . import __version__
 from .corpus import (
+    NEGATIVE_TAG,
     CorpusStats,
     corpus_stats,
     extract_candidates,
@@ -36,7 +37,7 @@ from .evaluate import (
 )
 from .features import FeatureSpace
 from .multiclass import load_ova_model, save_ova_model, train_ova
-from .train import TrainConfig
+from .train import LOSS_KINDS, TrainConfig
 from .util import atomic_write, format_g17
 
 log = logging.getLogger("fmnec")
@@ -57,14 +58,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_train_flags(sp):
-    sp.add_argument("--k", type=int, default=5, help="factorization dimension (0 = linear)")
-    sp.add_argument("--lr", type=float, default=0.05, help="SGD learning rate")
-    sp.add_argument("--reg-w", type=float, default=1e-4, help="L2 coefficient for linear weights")
-    sp.add_argument("--reg-v", type=float, default=1e-4, help="L2 coefficient for factor rows")
-    sp.add_argument("--epochs", type=int, default=100)
-    sp.add_argument("--init-sd", type=float, default=0.1, help="std-dev of factor initialization")
-    sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--loss", choices=("hinge", "logistic"), default="hinge")
+    sp.add_argument("--k", type=int, default=TrainConfig.k,
+                    help="factorization dimension (0 = linear)")
+    sp.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                    help="SGD learning rate")
+    sp.add_argument("--reg-w", type=float, default=TrainConfig.reg_w,
+                    help="L2 coefficient for linear weights")
+    sp.add_argument("--reg-v", type=float, default=TrainConfig.reg_v,
+                    help="L2 coefficient for factor rows")
+    sp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    sp.add_argument("--init-sd", type=float, default=TrainConfig.init_sd,
+                    help="std-dev of factor initialization")
+    sp.add_argument("--seed", type=int, default=TrainConfig.seed)
+    sp.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss)
     sp.add_argument("--no-shuffle", action="store_true", help="visit instances in file order")
 
 
@@ -185,7 +191,7 @@ def _safe_tag(tag: str) -> str:
 def _write_pr_curves(model, gold, scores, out_dir):
     written = 0
     for col, label in enumerate(model.labels):
-        if label == "O":
+        if label == NEGATIVE_TAG:
             continue
         flags = [tag == label for tag in gold]
         if not any(flags):
@@ -198,7 +204,6 @@ def _write_pr_curves(model, gold, scores, out_dir):
         written += 1
     if not written:
         raise ConfigError("no entity tag has gold instances; nothing to plot")
-    return written
 
 
 def cmd_eval(args):
@@ -217,17 +222,6 @@ def cmd_eval(args):
     if args.pr_curves:
         _write_pr_curves(model, gold, scores, args.out)
     print(format_report(report))
-    return 0
-
-
-def cmd_pr_curve(args):
-    model, space = _load_model_and_space(args)
-    candidates = _read_candidates(args.candidates, need_gold=True)
-    gold = [c.gold_tag for c in candidates]
-    scores = _score(model, space, candidates)
-    os.makedirs(args.out, exist_ok=True)
-    written = _write_pr_curves(model, gold, scores, args.out)
-    log.info("wrote %d PR curve files to %s", written, args.out)
     return 0
 
 
@@ -300,13 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(sp)
     sp.add_argument("--out", required=True, help="output two-column TSV")
     sp.set_defaults(func=cmd_sweep_k)
-
-    sp = sub.add_parser("pr-curve", help="write per-tag precision-recall curve files")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--space", required=True)
-    sp.add_argument("--candidates", required=True)
-    sp.add_argument("--out", required=True, help="output directory")
-    sp.set_defaults(func=cmd_pr_curve)
 
     return parser
 

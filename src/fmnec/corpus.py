@@ -16,6 +16,10 @@ from .errors import ConfigError, DataFormatError
 from .features import Candidate
 from .util import atomic_write, format_table, open_text
 
+# gold tag of the capitalized non-entity candidates; scored like any tag, but
+# reports leave it out of the micro averages and the PR curves
+NEGATIVE_TAG = "O"
+
 
 @dataclass
 class Sentence:
@@ -117,7 +121,9 @@ def extract_candidates(sentences) -> list[Candidate]:
                 pos = end
             else:
                 if words[pos][0].isupper():
-                    out.append(Candidate([words[pos]], words[:pos], words[pos + 1 :], "O"))
+                    out.append(
+                        Candidate([words[pos]], words[:pos], words[pos + 1 :], NEGATIVE_TAG)
+                    )
                 pos += 1
     return out
 
@@ -160,9 +166,9 @@ def corpus_stats(candidates) -> CorpusStats:
 def tag_display_order(tags) -> list[str]:
     """Entity tags sorted lexicographically, the non-entity tag O last."""
     tags = set(tags)
-    ordered = sorted(tag for tag in tags if tag != "O")
-    if "O" in tags:
-        ordered.append("O")
+    ordered = sorted(tag for tag in tags if tag != NEGATIVE_TAG)
+    if NEGATIVE_TAG in tags:
+        ordered.append(NEGATIVE_TAG)
     return ordered
 
 

@@ -11,11 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .corpus import NEGATIVE_TAG
 from .errors import ConfigError
 from .multiclass import train_ova
 from .util import format_table
-
-NEGATIVE_TAG = "O"
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,9 @@ class EvalReport:
     confusion: np.ndarray
     per_tag: dict[str, PRF]
     micro: PRF
-    negative_tag: str = NEGATIVE_TAG
 
 
-def evaluate(gold, pred, negative_tag: str = NEGATIVE_TAG) -> EvalReport:
+def evaluate(gold, pred) -> EvalReport:
     """Score predicted tags against gold tags, candidate-level counting."""
     gold = list(gold)
     pred = list(pred)
@@ -61,7 +59,7 @@ def evaluate(gold, pred, negative_tag: str = NEGATIVE_TAG) -> EvalReport:
     per_tag = {}
     micro_correct = micro_predicted = micro_gold = 0
     for tag in labels:
-        if tag == negative_tag:
+        if tag == NEGATIVE_TAG:
             continue
         i = index[tag]
         correct = int(confusion[i, i])
@@ -72,7 +70,7 @@ def evaluate(gold, pred, negative_tag: str = NEGATIVE_TAG) -> EvalReport:
         micro_predicted += predicted
         micro_gold += gold_count
     micro = _prf(micro_correct, micro_predicted, micro_gold)
-    return EvalReport(labels, confusion, per_tag, micro, negative_tag)
+    return EvalReport(labels, confusion, per_tag, micro)
 
 
 def pr_curve(scores) -> list[tuple[float, float]]:

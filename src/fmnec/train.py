@@ -5,6 +5,7 @@ g = dL/ds, every touched parameter p moves by
 
     p -= learning_rate * (g * ds/dp + reg * p)
 
+with reg = reg_w for w, reg_v for V and no decay on the bias w0.
 "Touched" means the bias plus every parameter owned by a nonzero feature of
 the instance; all other parameters stay bit-identical.  The score partials
 are ds/dw0 = 1, ds/dw[i] = x[i] and, for the factor entries,
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
-from .fm import FMModel, SparseVector
+from .errors import ConfigError
+from .fm import FMModel, SparseVector, _check_dimension
 from .util import derive_seed
 
 LOSS_KINDS = ("hinge", "logistic")
@@ -36,7 +37,6 @@ class TrainConfig:
 
     k: int = 5
     learning_rate: float = 0.05
-    reg_w0: float = 0.0
     reg_w: float = 1e-4
     reg_v: float = 1e-4
     epochs: int = 100
@@ -54,7 +54,7 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.init_sd < 0:
             raise ConfigError("init_sd must be >= 0")
-        if min(self.reg_w0, self.reg_w, self.reg_v) < 0:
+        if min(self.reg_w, self.reg_v) < 0:
             raise ConfigError("regularization coefficients must be >= 0")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}")
@@ -89,38 +89,35 @@ def loss_value(loss: str, score: float, y: int) -> float:
     """Per-instance loss at a raw score; logistic is evaluated overflow-safely."""
     if y not in (-1, 1):
         raise ValueError("label must be -1 or +1")
-    margin = y * score
-    if loss == "hinge":
-        return max(0.0, 1.0 - margin)
-    if loss == "logistic":
-        if margin >= 0:
-            return math.log1p(math.exp(-margin))
-        return -margin + math.log1p(math.exp(margin))
-    raise ConfigError(f"loss must be one of {LOSS_KINDS}")
+    if loss not in LOSS_KINDS:
+        raise ConfigError(f"loss must be one of {LOSS_KINDS}")
+    return _loss_and_slope(loss, score, y)[0]
 
 
-def _dloss(loss: str, score: float, y: int) -> float:
-    """dL/dscore.  Hinge takes subgradient 0 at the kink (margin exactly 1)."""
+def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
+    """Loss and dL/dscore, both stable on the tails of the logistic.
+
+    Hinge takes subgradient 0 at the kink (margin exactly 1).
+    """
     margin = y * score
     if loss == "hinge":
-        return -float(y) if margin < 1.0 else 0.0
-    # logistic: -y * sigmoid(-margin), stable on both tails
+        if margin < 1.0:
+            return 1.0 - margin, -float(y)
+        return 0.0, 0.0
+    # logistic: log(1 + e^-margin) and -y * sigmoid(-margin)
     if margin >= 0:
         e = math.exp(-margin)
-        return -float(y) * e / (1.0 + e)
-    return -float(y) / (1.0 + math.exp(margin))
+        return math.log1p(e), -float(y) * e / (1.0 + e)
+    e = math.exp(margin)
+    return -margin + math.log1p(e), -float(y) / (1.0 + e)
 
 
 def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
-    """One in-place SGD update; returns the pre-update loss."""
+    """One in-place SGD update on an instance already checked against
+    ``model.n``; returns the pre-update loss."""
     idx = inst.x.indices
     vals = inst.x.values
     m = idx.size
-    if m and int(idx[-1]) >= model.n:
-        raise DimensionMismatchError(
-            f"feature index {int(idx[-1])} out of range for n={model.n}"
-        )
-
     score = model.w0
     w_act = V_act = scaled = per_factor = None
     if m:
@@ -133,12 +130,10 @@ def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
                 per_factor = scaled.sum(axis=0)
                 score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
 
-    y = inst.y
-    loss = loss_value(config.loss, score, y)
-    g = _dloss(config.loss, score, y)
+    loss, g = _loss_and_slope(config.loss, score, inst.y)
     lr = config.learning_rate
 
-    model.w0 -= lr * (g + config.reg_w0 * model.w0)
+    model.w0 -= lr * g
     if m:
         model.w[idx] = w_act - lr * (g * vals + config.reg_w * w_act)
         if model.k:
@@ -154,6 +149,7 @@ def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
 
 def sgd_step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> FMModel:
     """Apply one update to ``model`` in place and return it."""
+    _check_dimension(int(inst.x.indices[-1]) if inst.x.nnz else -1, model.n)
     _step(model, inst, config)
     return model
 
@@ -172,28 +168,30 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
     if not data:
         raise ConfigError("training data is empty")
     top = max((int(inst.x.indices[-1]) for inst in data if inst.x.nnz), default=-1)
-    if top >= n:
-        raise DimensionMismatchError(f"feature index {top} out of range for n={n}")
+    _check_dimension(top, n)
 
     model = init_model(n, config)
     rng = None
     if config.shuffle:
         rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     order = np.arange(len(data))
-    for epoch in range(config.epochs):
-        if rng is not None:
-            order = rng.permutation(len(data))
-        total = 0.0
-        for t in order:
-            total += _step(model, data[t], config)
-        mean_loss = total / len(data)
-        if not math.isfinite(mean_loss):
-            raise ConfigError(
-                f"training diverged at epoch {epoch + 1}: mean loss {mean_loss}; "
-                "lower the learning rate or the regularization"
-            )
-        if on_epoch is not None:
-            on_epoch(epoch, mean_loss)
+    # a diverging run overflows inside numpy; the finiteness checks below
+    # report it as a ConfigError instead of a stream of RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            if rng is not None:
+                order = rng.permutation(len(data))
+            total = 0.0
+            for t in order:
+                total += _step(model, data[t], config)
+            mean_loss = total / len(data)
+            if not math.isfinite(mean_loss):
+                raise ConfigError(
+                    f"training diverged at epoch {epoch + 1}: mean loss {mean_loss}; "
+                    "lower the learning rate or the regularization"
+                )
+            if on_epoch is not None:
+                on_epoch(epoch, mean_loss)
     if not (math.isfinite(model.w0) and np.isfinite(model.w).all() and np.isfinite(model.V).all()):
         raise ConfigError(
             f"training diverged at epoch {config.epochs}: parameters are not finite; "

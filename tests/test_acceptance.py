@@ -94,7 +94,7 @@ def test_criterion_2_gradient_checks():
         started = time.perf_counter()
         # lr=1 and zero decay turn the sgd_step parameter delta into the gradient
         config = TrainConfig(
-            k=3, learning_rate=1.0, reg_w0=0.0, reg_w=0.0, reg_v=0.0,
+            k=3, learning_rate=1.0, reg_w=0.0, reg_v=0.0,
             epochs=1, init_sd=0.1, seed=0,
         )
         checked = 0

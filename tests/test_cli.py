@@ -180,8 +180,9 @@ class TestSweepAndCurves:
     def test_pr_curve_command(self, pipeline, tmp_path):
         out = tmp_path / "curves"
         assert main([
-            "pr-curve", "--model", str(pipeline["model"]), "--space", str(pipeline["space"]),
-            "--candidates", str(pipeline["test_candidates"]), "--out", str(out),
+            "eval", "--model", str(pipeline["model"]), "--space", str(pipeline["space"]),
+            "--candidates", str(pipeline["test_candidates"]),
+            "--pr-curves", "--out", str(out),
         ]) == 0
         lines = (out / "pr_PER.tsv").read_text().splitlines()
         assert lines[0] == "recall\tprecision"

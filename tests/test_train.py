@@ -232,8 +232,7 @@ class TestTrainBinary:
         def regularized_mean_loss(model):
             data_term = np.mean([loss_value("hinge", model.predict_raw(i.x), i.y) for i in data])
             penalty = 0.5 * (
-                config.reg_w0 * model.w0**2
-                + config.reg_w * float(model.w @ model.w)
+                config.reg_w * float(model.w @ model.w)
                 + config.reg_v * float((model.V * model.V).sum())
             )
             return data_term + penalty
