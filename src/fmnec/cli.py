@@ -15,7 +15,6 @@ import sys
 from . import __version__
 from .corpus import (
     NEGATIVE_TAG,
-    CorpusStats,
     corpus_stats,
     extract_candidates,
     filter_unknown,
@@ -122,13 +121,12 @@ def _score(model, space, candidates):
 
 def cmd_prepare(args):
     _require_files(args.train, *(p for p in (args.dev, args.test) if p))
-    os.makedirs(args.out, exist_ok=True)
     train_candidates = extract_candidates(
         parse_column_file(args.train, args.token_col, args.tag_col)
     )
     if not train_candidates:
         raise ConfigError(f"no candidates found in {args.train}")
-    write_candidates_tsv(os.path.join(args.out, "train.candidates.tsv"), train_candidates)
+    outputs = {"train": train_candidates}
     stats = {"training": corpus_stats(train_candidates)}
     for split, path in (("dev", args.dev), ("test", args.test)):
         if not path:
@@ -136,8 +134,13 @@ def cmd_prepare(args):
         raw = extract_candidates(parse_column_file(path, args.token_col, args.tag_col))
         kept = filter_unknown(raw, train_candidates)
         log.info("%s: %d candidates, %d kept by the unknown filter", split, len(raw), len(kept))
-        write_candidates_tsv(os.path.join(args.out, f"{split}.candidates.tsv"), kept)
-        stats[split] = corpus_stats(kept) if kept else CorpusStats({})
+        outputs[split] = kept
+        stats[split] = corpus_stats(kept)
+    # every split is read before the first file is written, so a bad input
+    # leaves no outputs behind
+    os.makedirs(args.out, exist_ok=True)
+    for split, candidates in outputs.items():
+        write_candidates_tsv(os.path.join(args.out, f"{split}.candidates.tsv"), candidates)
     print(format_stats_table(stats))
     return 0
 
@@ -188,8 +191,9 @@ def _safe_tag(tag: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in tag)
 
 
-def _write_pr_curves(model, gold, scores, out_dir):
-    written = 0
+def _pr_curve_files(model, gold, scores) -> dict[str, str]:
+    """File name -> text of the PR curve of every entity tag with gold instances."""
+    files = {}
     for col, label in enumerate(model.labels):
         if label == NEGATIVE_TAG:
             continue
@@ -198,12 +202,10 @@ def _write_pr_curves(model, gold, scores, out_dir):
             log.warning("no gold %s instances, skipping its PR curve", label)
             continue
         points = pr_curve(list(zip(scores[:, col].tolist(), flags)))
-        path = os.path.join(out_dir, f"pr_{_safe_tag(label)}.tsv")
-        with atomic_write(path) as fh:
-            fh.write(format_pr_curve_tsv(points))
-        written += 1
-    if not written:
+        files[f"pr_{_safe_tag(label)}.tsv"] = format_pr_curve_tsv(points)
+    if not files:
         raise ConfigError("no entity tag has gold instances; nothing to plot")
+    return files
 
 
 def cmd_eval(args):
@@ -212,16 +214,21 @@ def cmd_eval(args):
     gold = [c.gold_tag for c in candidates]
     scores = _score(model, space, candidates)
     report = evaluate(gold, model.best_labels(scores))
-    os.makedirs(args.out, exist_ok=True)
-    with atomic_write(os.path.join(args.out, REPORT_TXT)) as fh:
-        fh.write(format_report(report) + "\n")
-    with atomic_write(os.path.join(args.out, REPORT_TSV)) as fh:
-        fh.write(format_report_tsv(report))
-    with atomic_write(os.path.join(args.out, CONFUSION_TSV)) as fh:
-        fh.write(format_confusion_tsv(report))
+    # every output is built before the first file is written, so a failing
+    # eval leaves no outputs behind
+    text = format_report(report)
+    files = {
+        REPORT_TXT: text + "\n",
+        REPORT_TSV: format_report_tsv(report),
+        CONFUSION_TSV: format_confusion_tsv(report),
+    }
     if args.pr_curves:
-        _write_pr_curves(model, gold, scores, args.out)
-    print(format_report(report))
+        files.update(_pr_curve_files(model, gold, scores))
+    os.makedirs(args.out, exist_ok=True)
+    for name, content in files.items():
+        with atomic_write(os.path.join(args.out, name)) as fh:
+            fh.write(content)
+    print(text)
     return 0
 
 

@@ -76,48 +76,35 @@ def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[
                         path=str(path),
                         line=lineno,
                     )
-            current.append((cols[token_column], cols[tag_column]))
+            tag = cols[tag_column]
+            if tag in ("B-", "I-"):
+                raise DataFormatError(
+                    f"BIO tag {tag!r} has no entity type", path=str(path), line=lineno
+                )
+            current.append((cols[token_column], tag))
     flush()
     return sentences
-
-
-def _decode_spans(tags) -> list[tuple[int, int, str]]:
-    """(start, end, type) of each maximal B-X/I-X run; orphan I-X opens a span."""
-    tags = list(tags)
-    spans = []
-    start = None
-    kind = None
-    for pos, tag in enumerate(tags):
-        if tag.startswith("B-") or (tag.startswith("I-") and kind != tag[2:]):
-            if start is not None:
-                spans.append((start, pos, kind))
-            start, kind = pos, tag[2:]
-        elif tag.startswith("I-"):
-            continue
-        else:
-            if start is not None:
-                spans.append((start, pos, kind))
-            start = kind = None
-    if start is not None:
-        spans.append((start, len(tags), kind))
-    return spans
 
 
 def extract_candidates(sentences) -> list[Candidate]:
     """Entity-span candidates plus capitalized non-entity tokens (gold tag O).
 
-    Contexts are all remaining sentence tokens on each side of the span.
+    After ``repair_bio`` a span is a B-X tag plus the I-X tags right after it;
+    every other tag counts as O.  Contexts are all remaining sentence tokens
+    on each side of the span.
     """
     out = []
     for sentence in sentences:
         words = sentence.words
-        tags = sentence.tags
-        starts = {s: (e, kind) for s, e, kind in _decode_spans(tags)}
+        tags = repair_bio(sentence.tags)
         pos = 0
         while pos < len(words):
-            if pos in starts:
-                end, kind = starts[pos]
-                out.append(Candidate(words[pos:end], words[:pos], words[end:], kind))
+            tag = tags[pos]
+            if tag.startswith("B-"):
+                end = pos + 1
+                while end < len(words) and tags[end] == "I-" + tag[2:]:
+                    end += 1
+                out.append(Candidate(words[pos:end], words[:pos], words[end:], tag[2:]))
                 pos = end
             else:
                 if words[pos][0].isupper():

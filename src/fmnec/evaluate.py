@@ -95,19 +95,18 @@ def pr_curve(scores) -> list[tuple[float, float]]:
 
 def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
     """Dev micro-F1 per factorization dimension, other config fields fixed."""
-    k_values = [int(k) for k in k_values]
-    if not k_values:
+    # every config is built, and so checked, before the first one trains
+    configs = [replace(config, k=int(k)) for k in k_values]
+    if not configs:
         raise ConfigError("no k values to sweep")
-    if any(k < 0 for k in k_values):
-        raise ConfigError("k values must be >= 0")
     train = list(train)
     dev = list(dev)
     xs = [x for x, _ in dev]
     gold = [tag for _, tag in dev]
     results = []
-    for k in k_values:
-        model = train_ova(train, n, replace(config, k=k))
-        results.append((k, evaluate(gold, model.predict_label(xs)).micro.f1))
+    for k_config in configs:
+        model = train_ova(train, n, k_config)
+        results.append((k_config.k, evaluate(gold, model.predict_label(xs)).micro.f1))
     return results
 
 
@@ -115,51 +114,48 @@ def _pct(value: float) -> str:
     return f"{100.0 * value:.2f}"
 
 
+def _score_rows(report: EvalReport) -> list[list[str]]:
+    """One row per entity tag in tag order, then the micro row: tag, P, R, F1 in percent."""
+    scores = [(tag, report.per_tag[tag]) for tag in sorted(report.per_tag)]
+    scores.append(("micro", report.micro))
+    return [[tag, _pct(s.precision), _pct(s.recall), _pct(s.f1)] for tag, s in scores]
+
+
+def _confusion_rows(report: EvalReport) -> list[list[str]]:
+    """One row per gold tag: the tag, then its count for every predicted tag."""
+    return [
+        [tag, *(str(int(v)) for v in report.confusion[i])] for i, tag in enumerate(report.labels)
+    ]
+
+
+def _tsv(header, rows) -> str:
+    return "".join("\t".join(row) + "\n" for row in [header, *rows])
+
+
 def format_report(report: EvalReport) -> str:
     """Human-readable report: per-tag rows, the micro row, the confusion matrix."""
-    rows = [["tag", "P", "R", "F1"]]
-    for tag in sorted(report.per_tag):
-        s = report.per_tag[tag]
-        rows.append([tag, _pct(s.precision), _pct(s.recall), _pct(s.f1)])
-    m = report.micro
-    rows.append(["micro", _pct(m.precision), _pct(m.recall), _pct(m.f1)])
-    lines = [format_table(rows), ""]
-    lines.append("confusion matrix (rows: gold, columns: predicted)")
-    matrix_rows = [["", *report.labels]]
-    for i, tag in enumerate(report.labels):
-        matrix_rows.append([tag, *(str(int(v)) for v in report.confusion[i])])
-    lines.append(format_table(matrix_rows))
+    lines = [
+        format_table([["tag", "P", "R", "F1"], *_score_rows(report)]),
+        "",
+        "confusion matrix (rows: gold, columns: predicted)",
+        format_table([["", *report.labels], *_confusion_rows(report)]),
+    ]
     return "\n".join(lines)
 
 
 def format_report_tsv(report: EvalReport) -> str:
     """Machine-readable scores: tag, precision, recall, F1 (percent, 2 decimals)."""
-    lines = ["tag\tprecision\trecall\tf1"]
-    for tag in sorted(report.per_tag):
-        s = report.per_tag[tag]
-        lines.append(f"{tag}\t{_pct(s.precision)}\t{_pct(s.recall)}\t{_pct(s.f1)}")
-    m = report.micro
-    lines.append(f"micro\t{_pct(m.precision)}\t{_pct(m.recall)}\t{_pct(m.f1)}")
-    return "\n".join(lines) + "\n"
+    return _tsv(["tag", "precision", "recall", "f1"], _score_rows(report))
 
 
 def format_confusion_tsv(report: EvalReport) -> str:
-    lines = ["gold\\pred\t" + "\t".join(report.labels)]
-    for i, tag in enumerate(report.labels):
-        lines.append(tag + "\t" + "\t".join(str(int(v)) for v in report.confusion[i]))
-    return "\n".join(lines) + "\n"
+    return _tsv(["gold\\pred", *report.labels], _confusion_rows(report))
 
 
 def format_pr_curve_tsv(points) -> str:
     """Two-column numeric file (percent, 2 decimals), one ranking prefix per row."""
-    lines = ["recall\tprecision"]
-    for precision, recall in points:
-        lines.append(f"{_pct(recall)}\t{_pct(precision)}")
-    return "\n".join(lines) + "\n"
+    return _tsv(["recall", "precision"], ([_pct(r), _pct(p)] for p, r in points))
 
 
 def format_sweep_tsv(results) -> str:
-    lines = ["k\tmicro_f1"]
-    for k, f1 in results:
-        lines.append(f"{k}\t{_pct(f1)}")
-    return "\n".join(lines) + "\n"
+    return _tsv(["k", "micro_f1"], ([f"{k}", _pct(f1)] for k, f1 in results))

@@ -46,7 +46,7 @@ class SparseVector:
             if int(idx[0]) < 0:
                 raise ValueError("feature indices must be non-negative")
             if np.any(np.diff(idx) <= 0):
-                raise ValueError("feature indices must be strictly increasing")
+                raise ValueError("feature indices must be strictly increasing (no duplicates)")
             if not np.all(np.isfinite(val)):
                 raise ValueError("feature values must be finite")
             if np.any(val == 0.0):
@@ -66,9 +66,6 @@ class SparseVector:
         items = sorted(pairs)
         if not items:
             return cls([], [])
-        for (a, _), (b, _) in zip(items, items[1:]):
-            if a == b:
-                raise ValueError(f"duplicate feature index {a}")
         idx, val = zip(*items)
         return cls(idx, val)
 
@@ -264,9 +261,14 @@ def save_fm_model(model: FMModel, path) -> None:
 
 
 def load_fm_model(path) -> FMModel:
+    return _load_model_file(path, read_fm_model)
+
+
+def _load_model_file(path, read_block):
+    """The one block ``read_block`` parses from the whole file; nothing may follow it."""
     with open_text(path) as fh:
         cursor = LineCursor(fh.readlines(), path=str(path))
-    model = read_fm_model(cursor)
+    model = read_block(cursor)
     if not cursor.at_end():
         raise cursor.error("trailing content after model block")
     return model

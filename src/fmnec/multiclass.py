@@ -7,9 +7,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, _Batch, read_fm_model, write_fm_model
+from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
 from .train import LabeledInstance, TrainConfig, train_binary
-from .util import LineCursor, atomic_write, derive_seed, open_text
+from .util import LineCursor, atomic_write, derive_seed
 
 OVA_FORMAT_HEADER = "FMOVA v1"
 
@@ -132,9 +132,4 @@ def save_ova_model(model: OvAModel, path) -> None:
 
 
 def load_ova_model(path) -> OvAModel:
-    with open_text(path) as fh:
-        cursor = LineCursor(fh.readlines(), path=str(path))
-    model = read_ova_model(cursor)
-    if not cursor.at_end():
-        raise cursor.error("trailing content after model block")
-    return model
+    return _load_model_file(path, read_ova_model)

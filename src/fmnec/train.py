@@ -48,14 +48,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 0:
             raise ConfigError("k must be >= 0")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.init_sd < 0:
-            raise ConfigError("init_sd must be >= 0")
-        if min(self.reg_w, self.reg_v) < 0:
-            raise ConfigError("regularization coefficients must be >= 0")
+        if not (math.isfinite(self.init_sd) and self.init_sd >= 0):
+            raise ConfigError("init_sd must be finite and >= 0")
+        if not all(math.isfinite(r) and r >= 0 for r in (self.reg_w, self.reg_v)):
+            raise ConfigError("regularization coefficients must be finite and >= 0")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}")
 

@@ -231,6 +231,32 @@ class TestExitCodes:
         ])
         assert code == 1
 
+    def test_eval_without_entity_gold_writes_nothing(self, pipeline, tmp_path):
+        # only gold-O candidates: the PR curves fail after the reports are built
+        rows = [
+            line for line in pipeline["test_candidates"].read_text().splitlines(keepends=True)
+            if line.startswith("O\t")
+        ]
+        candidates = tmp_path / "o.tsv"
+        candidates.write_text("".join(rows))
+        out = tmp_path / "e"
+        assert main([
+            "eval", "--model", str(pipeline["model"]), "--space", str(pipeline["space"]),
+            "--candidates", str(candidates), "--pr-curves", "--out", str(out),
+        ]) == 1
+        for name in ("report.txt", "report.tsv", "confusion.tsv", "pr_PER.tsv"):
+            assert not (out / name).exists(), name
+
+    def test_prepare_with_bad_dev_writes_nothing(self, corpus, tmp_path):
+        train, _ = corpus
+        dev = tmp_path / "dev.txt"
+        dev.write_text("John NNP B-NP B-PER\nSmith\n")
+        out = tmp_path / "p"
+        assert main(["prepare", "--train", str(train), "--dev", str(dev),
+                     "--out", str(out)]) == 2
+        for name in ("train.candidates.tsv", "dev.candidates.tsv"):
+            assert not (out / name).exists(), name
+
     def test_divergent_training_is_config_error(self, pipeline, tmp_path, capsys):
         out = tmp_path / "m"
         assert main([
@@ -268,3 +294,22 @@ class TestNonUtf8Input:
         assert result.returncode == 2
         assert f"{bad_file}:2: not valid UTF-8" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def test_untyped_bio_tag_is_data_error(tmp_path):
+    corpus = tmp_path / "f.txt"
+    corpus.write_text("John NNP B-NP B-\n")
+    result = _run_cli("prepare", "--train", str(corpus), "--out", str(tmp_path / "o"))
+    assert result.returncode == 2
+    assert f"{corpus}:1: BIO tag 'B-' has no entity type" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_infinite_init_sd_is_config_error(pipeline, tmp_path):
+    out = tmp_path / "m"
+    result = _run_cli("train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
+                      "--init-sd", "inf", "--epochs", "1", "--out", str(out))
+    assert result.returncode == 1
+    assert "init_sd must be finite" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()

@@ -52,6 +52,13 @@ class TestParseColumnFile:
             parse_column_file(path, token_column=0, tag_column=3)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("tag", ["B-", "I-"])
+    def test_untyped_tag_reports_line(self, tmp_path, tag):
+        path = self.write(tmp_path, f"John NNP B-NP B-PER\nSmith NNP B-NP {tag}\n")
+        with pytest.raises(DataFormatError, match="no entity type") as err:
+            parse_column_file(path)
+        assert err.value.line == 2
+
     def test_negative_column_index(self, tmp_path):
         path = self.write(tmp_path, "EU NNP B-NP B-ORG\n")
         [sentence] = parse_column_file(path, token_column=0, tag_column=-1)

@@ -171,6 +171,33 @@ class TestFormatting:
         assert len(lines) == len(report.labels) + 1
         assert lines[0].split("\t")[1:] == report.labels
 
+    def test_report_bytes(self):
+        report = self.make_report()
+        assert format_report(report) == (
+            "tag         P       R      F1\n"
+            "LOC      0.00    0.00    0.00\n"
+            "PER    100.00  100.00  100.00\n"
+            "micro   50.00   50.00   50.00\n"
+            "\n"
+            "confusion matrix (rows: gold, columns: predicted)\n"
+            "     LOC  O  PER\n"
+            "LOC    0  1    0\n"
+            "O      1  0    0\n"
+            "PER    0  0    1"
+        )
+        assert format_report_tsv(report) == (
+            "tag\tprecision\trecall\tf1\n"
+            "LOC\t0.00\t0.00\t0.00\n"
+            "PER\t100.00\t100.00\t100.00\n"
+            "micro\t50.00\t50.00\t50.00\n"
+        )
+        assert format_confusion_tsv(report) == (
+            "gold\\pred\tLOC\tO\tPER\n"
+            "LOC\t0\t1\t0\n"
+            "O\t1\t0\t0\n"
+            "PER\t0\t0\t1\n"
+        )
+
     def test_pr_curve_tsv(self):
         lines = format_pr_curve_tsv([(1.0, 0.5), (0.5, 0.5)]).splitlines()
         assert lines[0] == "recall\tprecision"

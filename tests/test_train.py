@@ -36,6 +36,13 @@ class TestTrainConfig:
             dict(reg_w=-1e-4),
             dict(loss="squared"),
             dict(k=-1),
+            dict(learning_rate=float("inf")),
+            dict(init_sd=float("nan")),
+            dict(init_sd=float("inf")),
+            dict(reg_w=float("nan")),
+            dict(reg_w=float("inf")),
+            dict(reg_v=float("nan")),
+            dict(reg_v=float("inf")),
         ],
     )
     def test_rejects_invalid(self, bad):
