@@ -180,9 +180,8 @@ def cmd_predict(args):
     preds = model.best_labels(scores)
     with atomic_write(args.out) as fh:
         fh.write("# pred\tgold\t" + "\t".join(model.labels) + "\n")
-        for row, candidate in enumerate(candidates):
-            cells = [preds[row], candidate.gold_tag or ""]
-            cells.extend(format_g17(v) for v in scores[row])
+        for pred, candidate, row in zip(preds, candidates, scores.tolist()):
+            cells = [pred, candidate.gold_tag or "", *map(format_g17, row)]
             fh.write("\t".join(cells) + "\n")
     return 0
 

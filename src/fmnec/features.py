@@ -44,9 +44,14 @@ class Candidate:
         object.__setattr__(self, "right_context", tuple(self.right_context))
         if not self.span_tokens:
             raise ValueError("candidate span must be non-empty")
-        for token in (*self.span_tokens, *self.left_context, *self.right_context):
-            if not token or any(ch.isspace() for ch in token):
-                raise ValueError(f"tokens must be non-empty and whitespace-free: {token!r}")
+        tokens = (*self.span_tokens, *self.left_context, *self.right_context)
+        # str.split() splits on exactly the characters str.isspace() accepts,
+        # so the joined tokens split back into themselves iff every token is
+        # non-empty and whitespace-free; the loop only names the first bad one
+        if " ".join(tokens).split() != list(tokens):
+            for token in tokens:
+                if not token or any(ch.isspace() for ch in token):
+                    raise ValueError(f"tokens must be non-empty and whitespace-free: {token!r}")
         if self.gold_tag is not None and not self.gold_tag:
             raise ValueError("gold tag must be non-empty when present")
 
@@ -105,8 +110,11 @@ class FeatureSpace:
 
     def vectorize(self, names) -> SparseVector:
         """Binary vector over the known names; unknown names are silently dropped."""
-        idx = sorted(self.name_to_index[nm] for nm in set(names) if nm in self.name_to_index)
-        return SparseVector(idx, np.ones(len(idx)))
+        index = self.name_to_index
+        # distinct names map to distinct indices in [0, len(self)), sorted here,
+        # and every value is 1.0: the vector's invariants hold by construction
+        idx = np.array(sorted(index[nm] for nm in set(names) if nm in index), dtype=np.int64)
+        return SparseVector._unchecked(idx, np.ones(idx.size))
 
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
         return self.vectorize(extract_features(candidate))

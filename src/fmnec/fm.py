@@ -32,7 +32,11 @@ class SparseVector:
     """A sparse instance: parallel arrays of feature indices and values.
 
     Invariants: indices are non-negative and strictly increasing; values are
-    finite and nonzero (zero entries are omitted rather than stored).
+    finite and nonzero (zero entries are omitted rather than stored).  Both
+    arrays are read-only.  The public constructor enforces the invariants on
+    whatever it is given.  An internal builder may skip that check through
+    ``_unchecked`` only when its indices come from a ``FeatureSpace``, which
+    makes them hold by construction.
     """
 
     __slots__ = ("indices", "values")
@@ -55,6 +59,17 @@ class SparseVector:
         val.setflags(write=False)
         self.indices = idx
         self.values = val
+
+    @classmethod
+    def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
+        """Wrap a fresh int64 and a fresh float64 array that already meet the
+        invariants; the caller guarantees them, nothing here checks."""
+        indices.setflags(write=False)
+        values.setflags(write=False)
+        x = cls.__new__(cls)
+        x.indices = indices
+        x.values = values
+        return x
 
     @classmethod
     def empty(cls) -> "SparseVector":
@@ -236,13 +251,35 @@ def read_fm_model(cursor: LineCursor) -> FMModel:
     if n < 0 or k < 0:
         raise cursor.error("model dimensions must be non-negative")
     w0 = _take_floats(cursor, "bias", 1)[0]
-    w = _take_floats(cursor, "linear weights", n)
+    w = _take_block(cursor, "linear weights", 1, n)
     # rows are read before anything is allocated, so a bogus k costs nothing
-    rows = [_take_floats(cursor, f"factor row {i}", k) for i in range(n)]
+    V = _take_block(cursor, "factor row {}", n, k)
     try:
-        return FMModel(w0, w, np.array(rows, dtype=np.float64).reshape(n, k))
+        return FMModel(w0, w, V.reshape(n, k))
     except ValueError as exc:
         raise cursor.error(str(exc)) from None
+
+
+def _take_block(cursor: LineCursor, what: str, rows: int, count: int) -> np.ndarray:
+    """``rows`` lines of ``count`` floats each, as one flat array; line i is
+    named ``what.format(i)`` in errors.
+
+    The block is split and converted whole: one NumPy cast, which accepts
+    exactly the strings ``float`` accepts.  Only when a line is missing, holds
+    the wrong number of values or a bad value is the block read again line by
+    line, so the error names that line.
+    """
+    start = cursor.lineno
+    split = [line.split() for line in cursor.take_lines(rows)]
+    if len(split) == rows and all(len(parts) == count for parts in split):
+        try:
+            return np.array(split, dtype=np.float64).reshape(-1)
+        except ValueError:
+            pass
+    cursor.lineno = start
+    return np.array(
+        [v for i in range(rows) for v in _take_floats(cursor, what.format(i), count)]
+    )
 
 
 def _take_floats(cursor: LineCursor, what: str, count: int) -> list[float]:

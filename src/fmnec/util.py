@@ -96,6 +96,12 @@ class LineCursor:
         self.lineno += 1
         return line.rstrip("\n")
 
+    def take_lines(self, count: int) -> list[str]:
+        """The next ``count`` lines unstripped, fewer only at the end of the file."""
+        lines = self._lines[self.lineno : self.lineno + count]
+        self.lineno += len(lines)
+        return lines
+
     def at_end(self) -> bool:
         return self.lineno >= len(self._lines)
 

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fmnec import Candidate, ConfigError, FeatureSpace, extract_features
+from fmnec import Candidate, ConfigError, FeatureSpace, SparseVector, extract_features
 
 # tokens are non-empty and whitespace-free; mix plain ASCII with cased
 # unicode, digits, and punctuation to stress the character-class predicates
@@ -36,6 +38,42 @@ class TestCandidate:
 
     def test_surface(self):
         assert Candidate(["John", "Smith"]).surface == "John Smith"
+
+    @pytest.mark.parametrize("where", ["span_tokens", "left_context", "right_context"])
+    @pytest.mark.parametrize(
+        "odd", ["", "a\u00a0b", "\u2028", "x\u3000", "\x1c", "\x85y", "\tz", "\u200b", "ok"]
+    )
+    def test_token_check(self, where, odd):
+        fields = {"span_tokens": ["Big", "Co"], "left_context": ["in"], "right_context": ["said"]}
+        fields[where] = [*fields[where], odd]
+        if odd and not any(ch.isspace() for ch in odd):
+            assert getattr(Candidate(**fields), where)[-1] == odd
+        else:
+            with pytest.raises(ValueError) as err:
+                Candidate(**fields)
+            assert str(err.value) == f"tokens must be non-empty and whitespace-free: {odd!r}"
+
+    @pytest.mark.parametrize(
+        "span, left, right, first",
+        [
+            (["a\u3000b"], ["\x1c"], [""], "a\u3000b"),
+            (["ok"], ["fine", "l\x85"], ["\t"], "l\x85"),
+            (["ok"], ["fine"], ["r", "", "r\u00a0"], ""),
+        ],
+    )
+    def test_token_check_names_first_bad_token(self, span, left, right, first):
+        with pytest.raises(ValueError) as err:
+            Candidate(span, left, right)
+        assert str(err.value) == f"tokens must be non-empty and whitespace-free: {first!r}"
+
+    def test_split_separators_are_exactly_isspace(self):
+        # the one-pass token check rests on this: str.split() breaks a string
+        # at a character exactly when str.isspace() is true for it
+        chars = [chr(i) for i in range(sys.maxunicode + 1)]
+        spaces = [ch for ch in chars if ch.isspace()]
+        others = "".join(ch for ch in chars if not ch.isspace())
+        assert others.split() == [others]
+        assert ("x" + "x".join(spaces) + "x").split() == ["x"] * (len(spaces) + 1)
 
 
 class TestExtractFeatures:
@@ -174,6 +212,19 @@ class TestFeatureSpace:
         assert np.all(np.diff(x.indices) > 0)
         assert np.all(x.values == 1.0)
         assert x.nnz == len(extract_features(candidate))
+
+    @given(st.lists(candidates, min_size=1, max_size=4), candidates, st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_vectorize_meets_the_checked_invariants(self, training, candidate, rnd):
+        # any name order a loaded space file may have, not only fit's sorted one
+        names = FeatureSpace.fit(training).index_to_name
+        space = FeatureSpace(rnd.sample(names, len(names)))
+        for c in (*training, candidate):
+            x = space.vectorize_candidate(c)
+            assert SparseVector(x.indices, x.values) == x
+            assert x.indices.dtype == np.int64 and x.values.dtype == np.float64
+            assert x.indices.max() < len(space)
+            assert not x.indices.flags.writeable and not x.values.flags.writeable
 
     def test_save_load_round_trip(self, tmp_path):
         space = FeatureSpace.fit([Candidate(["Mix"], ["l1", "l2"], ["r1"])])

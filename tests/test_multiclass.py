@@ -204,3 +204,32 @@ class TestOvaFile:
         path.write_text(content)
         with pytest.raises(DataFormatError):
             load_ova_model(path)
+
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (21, "0.5 zero", "non-numeric value in factor row 3"),
+            (21, "0.5 0.25 1", "expected 2 values for factor row 3, got 3"),
+            (17, "1 2 3 4 five", "non-numeric value in linear weights"),
+            (7, "1 2 0x10 4 5", "non-numeric value in linear weights"),
+            # None: the file ends before this line, so the last line read is named
+            (21, None, "end of file while reading factor row 3"),
+        ],
+    )
+    def test_bad_value_names_its_line(self, tmp_path, line, text, message):
+        # layout: 1 header, 2 count, 3 "A", 4-12 A's block (w on 7, V rows on
+        # 8-12), 13 "B", then B's block: w on 17, factor row i on 18 + i
+        rng = np.random.default_rng(3)
+        models = [FMModel(0.0, rng.normal(size=5), rng.normal(size=(5, 2))) for _ in "AB"]
+        path = tmp_path / "ova.txt"
+        save_ova_model(OvAModel(["A", "B"], models), path)
+        lines = path.read_text().splitlines()
+        assert lines[12] == "B"
+        if text is None:
+            lines, line = lines[: line - 1], line - 1
+        else:
+            lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=message) as err:
+            load_ova_model(path)
+        assert err.value.line == line
