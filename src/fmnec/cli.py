@@ -11,6 +11,7 @@ import argparse
 import logging
 import os
 import sys
+from urllib.parse import quote
 
 from . import __version__
 from .corpus import (
@@ -70,7 +71,6 @@ def _add_train_flags(sp):
                     help="std-dev of factor initialization")
     sp.add_argument("--seed", type=int, default=TrainConfig.seed)
     sp.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss)
-    sp.add_argument("--no-shuffle", action="store_true", help="visit instances in file order")
 
 
 def _train_config(args) -> TrainConfig:
@@ -82,7 +82,6 @@ def _train_config(args) -> TrainConfig:
         epochs=args.epochs,
         init_sd=args.init_sd,
         seed=args.seed,
-        shuffle=not args.no_shuffle,
         loss=args.loss,
     )
 
@@ -186,10 +185,6 @@ def cmd_predict(args):
     return 0
 
 
-def _safe_tag(tag: str) -> str:
-    return "".join(ch if ch.isalnum() or ch in "-_." else "_" for ch in tag)
-
-
 def _pr_curve_files(model, gold, scores) -> dict[str, str]:
     """File name -> text of the PR curve of every entity tag with gold instances."""
     files = {}
@@ -201,7 +196,8 @@ def _pr_curve_files(model, gold, scores) -> dict[str, str]:
             log.warning("no gold %s instances, skipping its PR curve", label)
             continue
         points = pr_curve(list(zip(scores[:, col].tolist(), flags)))
-        files[f"pr_{_safe_tag(label)}.tsv"] = format_pr_curve_tsv(points)
+        # percent-encoding keeps every tag's file name distinct and free of "/"
+        files[f"pr_{quote(label, safe='')}.tsv"] = format_pr_curve_tsv(points)
     if not files:
         raise ConfigError("no entity tag has gold instances; nothing to plot")
     return files

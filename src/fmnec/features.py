@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError
 from .fm import SparseVector
-from .util import atomic_write, open_text
+from .util import atomic_write, first_bad_token, open_text
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,11 @@ class Candidate:
         object.__setattr__(self, "right_context", tuple(self.right_context))
         if not self.span_tokens:
             raise ValueError("candidate span must be non-empty")
-        tokens = (*self.span_tokens, *self.left_context, *self.right_context)
-        # str.split() splits on exactly the characters str.isspace() accepts,
-        # so the joined tokens split back into themselves iff every token is
-        # non-empty and whitespace-free; the loop only names the first bad one
-        if " ".join(tokens).split() != list(tokens):
-            for token in tokens:
-                if not token or any(ch.isspace() for ch in token):
-                    raise ValueError(f"tokens must be non-empty and whitespace-free: {token!r}")
-        if self.gold_tag is not None and not self.gold_tag:
-            raise ValueError("gold tag must be non-empty when present")
+        bad = first_bad_token((*self.span_tokens, *self.left_context, *self.right_context))
+        if bad is not None:
+            raise ValueError(f"tokens must be non-empty and whitespace-free: {bad!r}")
+        if self.gold_tag is not None and first_bad_token((self.gold_tag,)) is not None:
+            raise ValueError(f"gold tag must be non-empty and whitespace-free: {self.gold_tag!r}")
 
     @property
     def surface(self) -> str:

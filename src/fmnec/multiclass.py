@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
 from .train import LabeledInstance, TrainConfig, train_binary
-from .util import LineCursor, atomic_write, derive_seed
+from .util import LineCursor, atomic_write, derive_seed, first_bad_token
 
 OVA_FORMAT_HEADER = "FMOVA v1"
 
@@ -24,6 +25,7 @@ class OvAModel:
     def __post_init__(self):
         if not self.labels:
             raise ConfigError("a one-vs-all model needs at least one label")
+        _check_labels(self.labels)
         if list(self.labels) != sorted(set(self.labels)):
             raise ConfigError("labels must be unique and lexicographically sorted")
         if len(self.models) != len(self.labels):
@@ -65,6 +67,13 @@ class OvAModel:
         return self.labels == other.labels and self.models == other.models
 
 
+def _check_labels(labels) -> None:
+    # a label is one line of the model file and one cell of the reports
+    bad = first_bad_token(labels)
+    if bad is not None:
+        raise ConfigError(f"labels must be non-empty and whitespace-free: {bad!r}")
+
+
 def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     """Train one binary machine per distinct tag: that tag versus everything else.
 
@@ -76,17 +85,16 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     data = list(data)
     if not data:
         raise ConfigError("training data is empty")
-    if any(not isinstance(tag, str) or not tag for _, tag in data):
-        raise ConfigError("every training instance needs a non-empty tag")
-    labels = sorted({tag for _, tag in data})
+    tags = {tag for _, tag in data}
+    if not all(isinstance(tag, str) for tag in tags):
+        raise ConfigError("every training instance needs a tag")
+    labels = sorted(tags)
+    _check_labels(labels)
     models = []
     for label in labels:
         binary = [LabeledInstance(x, 1 if tag == label else -1) for x, tag in data]
         label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
-        callback = None
-        if on_epoch is not None:
-            def callback(epoch, mean_loss, _label=label):
-                on_epoch(_label, epoch, mean_loss)
+        callback = None if on_epoch is None else partial(on_epoch, label)
         try:
             models.append(train_binary(binary, n, label_config, on_epoch=callback))
         except ConfigError as exc:

@@ -42,7 +42,6 @@ class TrainConfig:
     epochs: int = 100
     init_sd: float = 0.1
     seed: int = 42
-    shuffle: bool = True
     loss: str = "hinge"
 
     def __post_init__(self):
@@ -76,13 +75,14 @@ def init_model(n: int, config: TrainConfig) -> FMModel:
     """Fresh model: zero bias and linear weights, factor rows from seeded gaussians."""
     if n < 0:
         raise ConfigError("feature dimension must be >= 0")
-    w = np.zeros(n)
-    if n and config.k and config.init_sd > 0:
-        rng = np.random.default_rng(derive_seed(config.seed, "factor-init"))
+    rng = np.random.default_rng(derive_seed(config.seed, "factor-init"))
+    try:
         V = rng.normal(0.0, config.init_sd, size=(n, config.k))
-    else:
-        V = np.zeros((n, config.k))
-    return FMModel(0.0, w, V)
+    except (MemoryError, ValueError):
+        raise ConfigError(
+            f"cannot allocate the factor matrix for n={n} features and k={config.k}; lower k"
+        ) from None
+    return FMModel(0.0, np.zeros(n), V)
 
 
 def loss_value(loss: str, score: float, y: int) -> float:
@@ -117,33 +117,26 @@ def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
     ``model.n``; returns the pre-update loss."""
     idx = inst.x.indices
     vals = inst.x.values
-    m = idx.size
-    score = model.w0
-    w_act = V_act = scaled = per_factor = None
-    if m:
-        w_act = model.w[idx]
-        score += float(w_act @ vals)
-        if model.k:
-            V_act = model.V[idx]
-            if m > 1:
-                scaled = V_act * vals[:, None]
-                per_factor = scaled.sum(axis=0)
-                score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
+    w_act = model.w[idx]
+    score = model.w0 + float(w_act @ vals)
+    if model.k:  # k = 0 (sweep-k's linear baseline) has no factor work to do
+        V_act = model.V[idx]
+        scaled = V_act * vals[:, None]
+        per_factor = scaled.sum(axis=0)
+        if idx.size > 1:  # a lone feature's interaction stays exactly 0, as in _Batch
+            score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
 
     loss, g = _loss_and_slope(config.loss, score, inst.y)
     lr = config.learning_rate
 
     model.w0 -= lr * g
-    if m:
-        model.w[idx] = w_act - lr * (g * vals + config.reg_w * w_act)
-        if model.k:
-            if g != 0.0 and m > 1:
-                grad = vals[:, None] * per_factor[None, :] - scaled * vals[:, None]
-                model.V[idx] = V_act - lr * (g * grad + config.reg_v * V_act)
-            elif config.reg_v != 0.0:
-                # single active feature has an exactly-zero interaction gradient,
-                # and a zero loss gradient leaves only the decay term
-                model.V[idx] = V_act - lr * (config.reg_v * V_act)
+    model.w[idx] = w_act - lr * (g * vals + config.reg_w * w_act)
+    if model.k:
+        if g != 0.0:  # hinge past the margin has g = 0: only the decay term is left
+            grad = vals[:, None] * per_factor[None, :] - scaled * vals[:, None]
+            model.V[idx] = V_act - lr * (g * grad + config.reg_v * V_act)
+        elif config.reg_v != 0.0:
+            model.V[idx] = V_act - lr * (config.reg_v * V_act)
     return loss
 
 
@@ -158,11 +151,10 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
     """Train a fresh model with ``config.epochs`` passes over ``data``.
 
     Deterministic for fixed inputs: both the factor initialization and the
-    per-epoch visiting order derive from ``config.seed``.  With
-    ``config.shuffle`` off, instances are visited in input order.
-    ``on_epoch``, when given, receives (epoch index, mean pre-update loss
-    of the pass).  Raises ``ConfigError`` when training diverges: an epoch's
-    mean loss or the final parameters are not finite.
+    per-epoch visiting order derive from ``config.seed``.  ``on_epoch``,
+    when given, receives (epoch index, mean pre-update loss of the pass).
+    Raises ``ConfigError`` when training diverges: an epoch's mean loss or
+    the final parameters are not finite.
     """
     data = list(data)
     if not data:
@@ -171,18 +163,13 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
     _check_dimension(top, n)
 
     model = init_model(n, config)
-    rng = None
-    if config.shuffle:
-        rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
-    order = np.arange(len(data))
+    rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     # a diverging run overflows inside numpy; the finiteness checks below
     # report it as a ConfigError instead of a stream of RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            if rng is not None:
-                order = rng.permutation(len(data))
             total = 0.0
-            for t in order:
+            for t in rng.permutation(len(data)):
                 total += _step(model, data[t], config)
             mean_loss = total / len(data)
             if not math.isfinite(mean_loss):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 
 from .errors import DataFormatError
@@ -31,15 +31,28 @@ def derive_seed(seed: int, *parts: str) -> int:
     return int.from_bytes(digest.digest(), "little") >> 1
 
 
+def first_bad_token(strings) -> str | None:
+    """The first string that is empty or holds whitespace; None when all are fine.
+
+    str.split() splits on exactly the characters str.isspace() accepts, so
+    the strings joined by spaces split back into themselves iff every one is
+    non-empty and whitespace-free; only a failing join is scanned one by one.
+    """
+    if " ".join(strings).split() == list(strings):
+        return None
+    return next(s for s in strings if s.split() != [s])
+
+
 @contextmanager
 def atomic_write(path):
     """Open a text file for writing via a temp file renamed into place.
 
-    Interrupted writers never leave a partial file at the target path.
+    Interrupted writers never leave a partial file at the target path.  The
+    file gets the mode ``open(path, "w")`` would give it: 0o666 less the umask.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix="~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp.{secrets.token_hex(8)}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

@@ -188,6 +188,25 @@ class TestSweepAndCurves:
         assert lines[0] == "recall\tprecision"
         assert len(lines) == 41  # one point per ranked candidate
 
+    def test_every_tag_gets_its_own_curve_file(self, tmp_path):
+        # percent-encoding gives "A/B" and "A_B" distinct file names, free of "/"
+        rows = []
+        for i in range(12):
+            tag = ("A/B", "A_B", "O")[i % 3]
+            rows.append(f"{tag}\tW{i}\tctx{i % 3}\tsaid\n")
+        candidates = tmp_path / "c.tsv"
+        candidates.write_text("".join(rows))
+        assert main(["train", "--candidates", str(candidates), "--epochs", "2",
+                     "--out", str(tmp_path / "m")]) == 0
+        out = tmp_path / "e"
+        assert main([
+            "eval", "--model", str(tmp_path / "m" / "ova_model.txt"),
+            "--space", str(tmp_path / "m" / "feature_space.txt"),
+            "--candidates", str(candidates), "--pr-curves", "--out", str(out),
+        ]) == 0
+        curves = sorted(name for name in os.listdir(out) if name.startswith("pr_"))
+        assert curves == ["pr_A%2FB.tsv", "pr_A_B.tsv"]
+
 
 class TestExitCodes:
     def test_missing_input_is_config_error(self, tmp_path):
@@ -201,6 +220,12 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self):
         assert main(["train", "--nonsense"]) == 1
+
+    def test_no_shuffle_is_usage_error(self, pipeline, tmp_path):
+        assert main([
+            "train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
+            "--no-shuffle", "--out", str(tmp_path / "m"),
+        ]) == 1
 
     def test_missing_subcommand_is_usage_error(self):
         assert main([]) == 1
@@ -303,6 +328,24 @@ def test_untyped_bio_tag_is_data_error(tmp_path):
     assert result.returncode == 2
     assert f"{corpus}:1: BIO tag 'B-' has no entity type" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "sweep-k"])
+def test_unallocatable_k_is_config_error(pipeline, tmp_path, command):
+    # n * 2**62 doubles overflow numpy's size limit, so nothing is allocated
+    train = str(pipeline["prepared"] / "train.candidates.tsv")
+    if command == "train":
+        argv = ["train", "--candidates", train, "--k", str(2**62)]
+    else:
+        argv = ["sweep-k", "--train", train, "--dev", str(pipeline["test_candidates"]),
+                "--k-values", str(2**62)]
+    out = tmp_path / "out"
+    result = _run_cli(*argv, "--epochs", "1", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
+    assert f"k={2**62}; lower k" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_infinite_init_sd_is_config_error(pipeline, tmp_path):

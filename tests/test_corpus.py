@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmnec import (
     Candidate,
@@ -209,6 +211,21 @@ class TestCandidatesTsv:
         path = tmp_path / "c.tsv"
         write_candidates_tsv(path, cands)
         assert read_candidates_tsv(path) == cands
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        words=st.lists(st.text(alphabet="aZ\t\n\r \u00a0\x85\u2028", max_size=3), max_size=4),
+        tag=st.one_of(st.none(), st.text(alphabet="OG\t\n\r \u00a0\x85\u2028", max_size=3)),
+    )
+    def test_written_file_reads_back(self, tmp_path_factory, words, tag):
+        # whatever Candidate accepts, the file writer must write readably
+        try:
+            candidate = Candidate(["Acme", *words[:1]], words[1:2], words[2:], tag)
+        except ValueError:
+            return
+        path = tmp_path_factory.mktemp("tsv") / "c.tsv"
+        write_candidates_tsv(path, [candidate])
+        assert read_candidates_tsv(path) == [candidate]
 
     def test_field_layout(self, tmp_path):
         path = tmp_path / "c.tsv"

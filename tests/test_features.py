@@ -39,19 +39,25 @@ class TestCandidate:
     def test_surface(self):
         assert Candidate(["John", "Smith"]).surface == "John Smith"
 
-    @pytest.mark.parametrize("where", ["span_tokens", "left_context", "right_context"])
+    @pytest.mark.parametrize("where", ["span_tokens", "left_context", "right_context", "gold_tag"])
     @pytest.mark.parametrize(
         "odd", ["", "a\u00a0b", "\u2028", "x\u3000", "\x1c", "\x85y", "\tz", "\u200b", "ok"]
     )
     def test_token_check(self, where, odd):
         fields = {"span_tokens": ["Big", "Co"], "left_context": ["in"], "right_context": ["said"]}
-        fields[where] = [*fields[where], odd]
+        if where == "gold_tag":
+            fields[where] = odd
+            what = "gold tag"
+        else:
+            fields[where] = [*fields[where], odd]
+            what = "tokens"
         if odd and not any(ch.isspace() for ch in odd):
-            assert getattr(Candidate(**fields), where)[-1] == odd
+            value = getattr(Candidate(**fields), where)
+            assert (value if where == "gold_tag" else value[-1]) == odd
         else:
             with pytest.raises(ValueError) as err:
                 Candidate(**fields)
-            assert str(err.value) == f"tokens must be non-empty and whitespace-free: {odd!r}"
+            assert str(err.value) == f"{what} must be non-empty and whitespace-free: {odd!r}"
 
     @pytest.mark.parametrize(
         "span, left, right, first",

@@ -90,6 +90,16 @@ class TestTrainOva:
         with pytest.raises(ConfigError):
             train_ova(data, 1, cfg())
 
+    @pytest.mark.parametrize("bad", ["A\nB", "", "A B", "\u00a0"])
+    def test_whitespace_tag_rejected_before_training(self, bad):
+        # a tag is one line of the model file, so "A\nB" would save a model
+        # that cannot be loaded; the whole tag set is checked up front
+        data = [(SparseVector([0], [1.0]), "C"), (SparseVector([1], [1.0]), bad)]
+        epochs = []
+        with pytest.raises(ConfigError, match="whitespace-free"):
+            train_ova(data, 2, cfg(), on_epoch=lambda *args: epochs.append(args))
+        assert epochs == []
+
     def test_deterministic(self):
         data = make_xor_tagged(copies=10, seed=1)
         a = train_ova(data, 2, cfg(k=2, epochs=10, seed=5))
@@ -99,8 +109,8 @@ class TestTrainOva:
     def test_independent_of_tag_encounter_order(self):
         data = make_xor_tagged(copies=10, seed=1)
         flipped = list(reversed(data))
-        a = train_ova(data, 2, cfg(k=2, epochs=10, seed=5, shuffle=False))
-        b = train_ova(flipped, 2, cfg(k=2, epochs=10, seed=5, shuffle=False))
+        a = train_ova(data, 2, cfg(k=2, epochs=10, seed=5))
+        b = train_ova(flipped, 2, cfg(k=2, epochs=10, seed=5))
         # same label set, same per-label seeds; only the in-epoch visiting
         # order differs, so the label order and dimensions must agree
         assert a.labels == b.labels
@@ -197,6 +207,7 @@ class TestOvaFile:
             "FMOVA v1\n0\n",
             "FMOVA v1\n2\nB\nFMMODEL v1\n0 0\n0\n\nA\nFMMODEL v1\n0 0\n0\n\n",  # unsorted
             "FMOVA v1\n2\nA\nFMMODEL v1\n0 0\n0\n\n",  # missing second block
+            "FMOVA v1\n1\nA B\nFMMODEL v1\n0 0\n0\n\n",  # whitespace in a label
         ],
     )
     def test_rejects_malformed(self, tmp_path, content):

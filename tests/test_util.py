@@ -41,6 +41,17 @@ class TestAtomicWrite:
         assert target.read_text() == "original"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_follows_umask(self, tmp_path, umask):
+        # the same mode open(path, "w") gives
+        old = os.umask(umask)
+        try:
+            with atomic_write(tmp_path / "out.txt") as fh:
+                fh.write("x")
+        finally:
+            os.umask(old)
+        assert (tmp_path / "out.txt").stat().st_mode & 0o777 == 0o666 & ~umask
+
 
 class TestDeriveSeed:
     def test_stable(self):
