@@ -6,7 +6,7 @@ pairwise term gives the feature pair its own (factorized) weight, which is
 exactly what XOR needs.  Training uses plain SGD on hinge loss.
 """
 
-from fmnec import LabeledInstance, SparseVector, TrainConfig, train_binary
+from fmnec import SparseVector, TrainConfig, train_binary
 
 PATTERNS = [
     ((), -1),       # neither feature  -> negative
@@ -15,14 +15,12 @@ PATTERNS = [
     ((0, 1), -1),   # both features    -> negative
 ]
 
-data = [
-    LabeledInstance(SparseVector(list(feats), [1.0] * len(feats)), y)
-    for feats, y in PATTERNS
-]
+# training data is a list of (SparseVector, label) pairs, labels -1 or +1
+data = [(SparseVector(list(feats), [1.0] * len(feats)), y) for feats, y in PATTERNS]
 
 
 def train_accuracy(model):
-    hits = sum((1 if model.predict_raw(i.x) > 0 else -1) == i.y for i in data)
+    hits = sum((1 if model.predict_raw(x) > 0 else -1) == y for x, y in data)
     return hits / len(data)
 
 

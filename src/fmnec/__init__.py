@@ -13,14 +13,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, DataFormatError, DimensionMismatchError
 from .fm import FMModel, SparseVector, load_fm_model, save_fm_model
-from .train import (
-    LabeledInstance,
-    TrainConfig,
-    init_model,
-    loss_value,
-    sgd_step,
-    train_binary,
-)
+from .train import TrainConfig, init_model, loss_value, sgd_step, train_binary
 from .multiclass import OvAModel, load_ova_model, save_ova_model, train_ova
 from .features import Candidate, FeatureSpace, extract_features
 from .corpus import (
@@ -46,7 +39,6 @@ __all__ = [
     "EvalReport",
     "FMModel",
     "FeatureSpace",
-    "LabeledInstance",
     "OvAModel",
     "PRF",
     "Sentence",

@@ -80,11 +80,9 @@ class FeatureSpace:
 
     def __init__(self, names):
         names = list(names)
-        index = {}
-        for pos, name in enumerate(names):
-            if name in index:
-                raise ValueError(f"duplicate feature name {name!r}")
-            index[name] = pos
+        index = {name: pos for pos, name in enumerate(names)}
+        if len(index) != len(names) or first_bad_token(names) is not None:
+            raise ValueError(_first_name_error(names)[1])
         self.name_to_index = index
         self.index_to_name = names
 
@@ -137,5 +135,17 @@ class FeatureSpace:
             names = [line.rstrip("\n") for line in fh]
         try:
             return cls(names)
-        except ValueError as exc:
-            raise DataFormatError(str(exc), path=str(path)) from None
+        except ValueError:
+            pos, message = _first_name_error(names)
+            raise DataFormatError(message, path=str(path), line=pos + 1) from None
+
+
+def _first_name_error(names) -> tuple[int, str]:
+    """Position and message of the first name that breaks the token rule or repeats."""
+    seen = set()
+    for pos, name in enumerate(names):
+        if first_bad_token((name,)) is not None:
+            return pos, f"feature names must be non-empty and whitespace-free: {name!r}"
+        if name in seen:
+            return pos, f"duplicate feature name {name!r}"
+        seen.add(name)

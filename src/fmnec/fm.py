@@ -131,7 +131,7 @@ class FMModel:
         if V.shape[0] != w.shape[0]:
             raise ValueError(f"V has {V.shape[0]} rows for {w.shape[0]} linear weights")
         w0 = float(w0)
-        if not (np.isfinite(w0) and np.all(np.isfinite(w)) and np.all(np.isfinite(V))):
+        if not _finite_parameters(w0, w, V):
             raise ValueError("model parameters must be finite")
         self.w0 = w0
         self.w = w
@@ -183,6 +183,10 @@ class FMModel:
         if not (0 <= i < n and 0 <= j < n):
             raise DimensionMismatchError(f"feature pair ({i}, {j}) out of range for n={n}")
         return float(self.V[i] @ self.V[j])
+
+
+def _finite_parameters(w0: float, w: np.ndarray, V: np.ndarray) -> bool:
+    return bool(np.isfinite(w0) and np.isfinite(w).all() and np.isfinite(V).all())
 
 
 def _check_dimension(top: int, n: int) -> None:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
-from .train import LabeledInstance, TrainConfig, train_binary
+from .train import TrainConfig, train_binary
 from .util import LineCursor, atomic_write, derive_seed, first_bad_token
 
 OVA_FORMAT_HEADER = "FMOVA v1"
@@ -92,7 +92,7 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     _check_labels(labels)
     models = []
     for label in labels:
-        binary = [LabeledInstance(x, 1 if tag == label else -1) for x, tag in data]
+        binary = [(x, 1 if tag == label else -1) for x, tag in data]
         label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
         callback = None if on_epoch is None else partial(on_epoch, label)
         try:

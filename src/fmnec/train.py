@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, SparseVector, _check_dimension
+from .fm import FMModel, SparseVector, _check_dimension, _finite_parameters
 from .util import derive_seed
 
 LOSS_KINDS = ("hinge", "logistic")
@@ -55,20 +55,11 @@ class TrainConfig:
             raise ConfigError("init_sd must be finite and >= 0")
         if not all(math.isfinite(r) and r >= 0 for r in (self.reg_w, self.reg_v)):
             raise ConfigError("regularization coefficients must be finite and >= 0")
+        # decay scales touched weights by (1 - learning_rate * reg): |.| >= 1 grows them
+        if self.learning_rate * max(self.reg_w, self.reg_v) >= 2:
+            raise ConfigError("learning_rate * reg_w and learning_rate * reg_v must be < 2")
         if self.loss not in LOSS_KINDS:
             raise ConfigError(f"loss must be one of {LOSS_KINDS}")
-
-
-@dataclass(frozen=True)
-class LabeledInstance:
-    """A sparse instance with a binary label in {-1, +1}."""
-
-    x: SparseVector
-    y: int
-
-    def __post_init__(self):
-        if self.y not in (-1, 1):
-            raise ValueError("label must be -1 or +1")
 
 
 def init_model(n: int, config: TrainConfig) -> FMModel:
@@ -85,10 +76,14 @@ def init_model(n: int, config: TrainConfig) -> FMModel:
     return FMModel(0.0, np.zeros(n), V)
 
 
-def loss_value(loss: str, score: float, y: int) -> float:
-    """Per-instance loss at a raw score; logistic is evaluated overflow-safely."""
+def _check_label(y) -> None:
     if y not in (-1, 1):
         raise ValueError("label must be -1 or +1")
+
+
+def loss_value(loss: str, score: float, y: int) -> float:
+    """Per-instance loss at a raw score; logistic is evaluated overflow-safely."""
+    _check_label(y)
     if loss not in LOSS_KINDS:
         raise ConfigError(f"loss must be one of {LOSS_KINDS}")
     return _loss_and_slope(loss, score, y)[0]
@@ -112,11 +107,11 @@ def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
     return -margin + math.log1p(e), -float(y) / (1.0 + e)
 
 
-def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
-    """One in-place SGD update on an instance already checked against
-    ``model.n``; returns the pre-update loss."""
-    idx = inst.x.indices
-    vals = inst.x.values
+def _step(model: FMModel, x: SparseVector, y: int, config: TrainConfig) -> float:
+    """One in-place SGD update on an instance and label already checked
+    against ``model.n`` and the label rule; returns the pre-update loss."""
+    idx = x.indices
+    vals = x.values
     w_act = model.w[idx]
     score = model.w0 + float(w_act @ vals)
     if model.k:  # k = 0 (sweep-k's linear baseline) has no factor work to do
@@ -126,7 +121,7 @@ def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
         if idx.size > 1:  # a lone feature's interaction stays exactly 0, as in _Batch
             score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
 
-    loss, g = _loss_and_slope(config.loss, score, inst.y)
+    loss, g = _loss_and_slope(config.loss, score, y)
     lr = config.learning_rate
 
     model.w0 -= lr * g
@@ -140,48 +135,47 @@ def _step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> float:
     return loss
 
 
-def sgd_step(model: FMModel, inst: LabeledInstance, config: TrainConfig) -> FMModel:
-    """Apply one update to ``model`` in place and return it."""
-    _check_dimension(int(inst.x.indices[-1]) if inst.x.nnz else -1, model.n)
-    _step(model, inst, config)
+def sgd_step(model: FMModel, inst, config: TrainConfig) -> FMModel:
+    """Update ``model`` in place on ``inst``, a ``(SparseVector, label)`` pair; return it."""
+    x, y = inst
+    _check_label(y)
+    _check_dimension(int(x.indices[-1]) if x.nnz else -1, model.n)
+    _step(model, x, y, config)
     return model
 
 
 def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
-    """Train a fresh model with ``config.epochs`` passes over ``data``.
+    """Train a fresh model with ``config.epochs`` passes over ``data``, a
+    sequence of ``(SparseVector, label)`` pairs with labels -1 or +1.
 
     Deterministic for fixed inputs: both the factor initialization and the
     per-epoch visiting order derive from ``config.seed``.  ``on_epoch``,
     when given, receives (epoch index, mean pre-update loss of the pass).
     Raises ``ConfigError`` when training diverges: an epoch's mean loss or
-    the final parameters are not finite.
+    the parameters after it are not finite.
     """
     data = list(data)
     if not data:
         raise ConfigError("training data is empty")
-    top = max((int(inst.x.indices[-1]) for inst in data if inst.x.nnz), default=-1)
-    _check_dimension(top, n)
+    for _, y in data:
+        _check_label(y)
+    _check_dimension(max((int(x.indices[-1]) for x, _ in data if x.nnz), default=-1), n)
 
     model = init_model(n, config)
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
-    # a diverging run overflows inside numpy; the finiteness checks below
-    # report it as a ConfigError instead of a stream of RuntimeWarnings
+    # a diverging run overflows inside numpy; the finiteness check below
+    # reports it as a ConfigError instead of a stream of RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             total = 0.0
             for t in rng.permutation(len(data)):
-                total += _step(model, data[t], config)
+                total += _step(model, *data[t], config)
             mean_loss = total / len(data)
-            if not math.isfinite(mean_loss):
+            if not (math.isfinite(mean_loss) and _finite_parameters(model.w0, model.w, model.V)):
                 raise ConfigError(
-                    f"training diverged at epoch {epoch + 1}: mean loss {mean_loss}; "
-                    "lower the learning rate or the regularization"
+                    f"training diverged at epoch {epoch + 1}: the mean loss ({mean_loss}) "
+                    "or the parameters are not finite; lower the learning rate"
                 )
             if on_epoch is not None:
                 on_epoch(epoch, mean_loss)
-    if not (math.isfinite(model.w0) and np.isfinite(model.w).all() and np.isfinite(model.V).all()):
-        raise ConfigError(
-            f"training diverged at epoch {config.epochs}: parameters are not finite; "
-            "lower the learning rate or the regularization"
-        )
     return model

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fmnec import FMModel, LabeledInstance, SparseVector
+from fmnec import FMModel, SparseVector
 from fmnec.util import atomic_write
 
 XOR_PATTERNS = [((), -1), ((0,), 1), ((1,), 1), ((0, 1), -1)]
@@ -22,21 +22,18 @@ def random_instance(rng, n, max_nnz, min_nnz=0):
 
 
 def xor_clean_instances():
-    """The four XOR patterns over two indicator features, one instance each."""
-    return [
-        LabeledInstance(SparseVector(list(feats), [1.0] * len(feats)), y)
-        for feats, y in XOR_PATTERNS
-    ]
+    """The four XOR patterns over two indicator features, one (vector, label) pair each."""
+    return [(SparseVector(list(feats), [1.0] * len(feats)), y) for feats, y in XOR_PATTERNS]
 
 
 def make_xor_split(seed=7, copies=250, noise=0.1, split=0.8):
-    """Noisy XOR instances, shuffled and split into train/test lists."""
+    """Noisy XOR (vector, label) pairs, shuffled and split into train/test lists."""
     rng = np.random.default_rng(seed)
     instances = []
     for feats, y in XOR_PATTERNS:
         for _ in range(copies):
             label = -y if rng.random() < noise else y
-            instances.append(LabeledInstance(SparseVector(list(feats), [1.0] * len(feats)), label))
+            instances.append((SparseVector(list(feats), [1.0] * len(feats)), label))
     order = rng.permutation(len(instances))
     instances = [instances[i] for i in order]
     cut = int(split * len(instances))
@@ -56,7 +53,7 @@ def make_xor_tagged(copies, seed, positive="ENT", negative="O"):
 
 
 def accuracy(model, data):
-    hits = sum((1 if model.predict_raw(inst.x) > 0 else -1) == inst.y for inst in data)
+    hits = sum((1 if model.predict_raw(x) > 0 else -1) == y for x, y in data)
     return hits / len(data)
 
 

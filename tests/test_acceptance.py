@@ -16,7 +16,6 @@ import pytest
 
 from fmnec import (
     FMModel,
-    LabeledInstance,
     OvAModel,
     SparseVector,
     TrainConfig,
@@ -106,7 +105,7 @@ def test_criterion_2_gradient_checks():
                 continue  # skip points near the hinge kink
             checked += 1
             before = model.copy()
-            sgd_step(model, LabeledInstance(x, y), config)
+            sgd_step(model, (x, y), config)
 
             def finite_difference(mutate):
                 h = 1e-6

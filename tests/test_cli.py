@@ -286,7 +286,7 @@ class TestExitCodes:
         out = tmp_path / "m"
         assert main([
             "train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
-            "--k", "2", "--lr", "50", "--loss", "logistic", "--reg-w", "10", "--reg-v", "10",
+            "--k", "2", "--lr", "1e200", "--loss", "logistic", "--reg-w", "0", "--reg-v", "0",
             "--epochs", "3", "--out", str(out),
         ]) == 1
         assert "diverged" in capsys.readouterr().err
@@ -345,6 +345,19 @@ def test_unallocatable_k_is_config_error(pipeline, tmp_path, command):
     assert result.stderr.count("\n") == 1
     assert f"k={2**62}; lower k" in result.stderr
     assert "Traceback" not in result.stderr
+    assert not out.exists()
+
+
+def test_growing_decay_is_config_error(pipeline, tmp_path):
+    # lr * reg = 500: each decay step would scale the touched weights by -499
+    out = tmp_path / "m"
+    result = _run_cli("train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
+                      "--lr", "50", "--reg-w", "10", "--reg-v", "10", "--epochs", "2",
+                      "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
+    assert "learning_rate * reg_w and learning_rate * reg_v must be < 2" in result.stderr
+    assert "mean loss" not in result.stderr
     assert not out.exists()
 
 

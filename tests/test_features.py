@@ -2,10 +2,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fmnec import Candidate, ConfigError, FeatureSpace, SparseVector, extract_features
+from fmnec import Candidate, ConfigError, DataFormatError, FeatureSpace, SparseVector, extract_features
 
 # tokens are non-empty and whitespace-free; mix plain ASCII with cased
 # unicode, digits, and punctuation to stress the character-class predicates
@@ -239,9 +239,39 @@ class TestFeatureSpace:
         assert FeatureSpace.load(path) == space
 
     def test_load_rejects_duplicates(self, tmp_path):
-        from fmnec import DataFormatError
-
         path = tmp_path / "space.txt"
         path.write_text("a\na\n")
         with pytest.raises(DataFormatError):
             FeatureSpace.load(path)
+
+    @pytest.mark.parametrize("bad", ["", "b\nc", "b c", "b\x1cc", "\u00a0"])
+    def test_names_follow_the_token_rule(self, bad):
+        # "b\nc" would save as two lines and load back as two names
+        with pytest.raises(ValueError, match="feature names must be non-empty and whitespace-free"):
+            FeatureSpace(["a", bad, "d"])
+
+    @given(st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_names_round_trip(self, tmp_path_factory, names):
+        try:
+            space = FeatureSpace(names)
+        except ValueError:
+            assume(False)
+        path = tmp_path_factory.mktemp("space") / "space.txt"
+        space.save(path)
+        assert FeatureSpace.load(path) == space
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("a\n\nb\n", 2, "feature names must be non-empty and whitespace-free: ''"),
+            ("a\nb\na\n", 3, "duplicate feature name 'a'"),
+            ("a\nb\x1cc\nd\n", 2, "feature names must be non-empty and whitespace-free: 'b\\x1cc'"),
+        ],
+    )
+    def test_load_names_the_bad_line(self, tmp_path, text, line, message):
+        path = tmp_path / "space.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError) as info:
+            FeatureSpace.load(path)
+        assert str(info.value) == f"{path}:{line}: {message}"

@@ -77,8 +77,8 @@ class TestTrainOva:
         assert model.predict_label([SparseVector([1], [1.0]), SparseVector.empty()]) == ["O", "O"]
 
     def test_divergence_names_label_and_epoch(self):
-        config = TrainConfig(k=2, learning_rate=50, loss="logistic", reg_w=10, reg_v=10, epochs=3)
-        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="label ENT: .*epoch 3"):
+        config = TrainConfig(k=2, learning_rate=1e200, loss="logistic", reg_w=0, reg_v=0, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="label ENT: .*epoch 1"):
             train_ova(make_xor_tagged(10, 1), 2, config)
 
     def test_empty_data_rejected(self):

@@ -7,7 +7,6 @@ from fmnec import (
     ConfigError,
     DimensionMismatchError,
     FMModel,
-    LabeledInstance,
     SparseVector,
     TrainConfig,
     init_model,
@@ -43,6 +42,11 @@ class TestTrainConfig:
             dict(reg_w=float("inf")),
             dict(reg_v=float("nan")),
             dict(reg_v=float("inf")),
+            dict(learning_rate=50, reg_w=10, reg_v=10),
+            dict(learning_rate=0.5, reg_w=4),
+            dict(learning_rate=0.5, reg_v=4),
+            dict(learning_rate=50, reg_w=10),
+            dict(learning_rate=50, reg_v=10),
         ],
     )
     def test_rejects_invalid(self, bad):
@@ -50,8 +54,16 @@ class TestTrainConfig:
             cfg(**bad)
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            LabeledInstance(SparseVector.empty(), 0)
+        data = [(SparseVector([0], [1.0]), 1), (SparseVector([0], [1.0]), 0)]
+        seen = []
+        with pytest.raises(ValueError, match="label must be -1 or \\+1"):
+            train_binary(data, 1, cfg(), on_epoch=lambda e, l: seen.append(e))
+        assert seen == []
+        m = FMModel(0.0, [0.0], [[0.1]])
+        before = m.copy()
+        with pytest.raises(ValueError, match="label must be -1 or \\+1"):
+            sgd_step(m, (SparseVector([0], [1.0]), 0), cfg(k=1))
+        assert m == before
 
 
 class TestInitModel:
@@ -112,7 +124,7 @@ class TestSgdStep:
     def test_hand_example(self):
         # margin violated: w0 and w move by lr, factor gradient is exactly zero
         m = FMModel(0.0, [0.0], [[0.1]])
-        sgd_step(m, LabeledInstance(SparseVector([0], [1.0]), 1), cfg(k=1, learning_rate=0.1))
+        sgd_step(m, (SparseVector([0], [1.0]), 1), cfg(k=1, learning_rate=0.1))
         assert m.w0 == pytest.approx(0.1)
         assert m.w[0] == pytest.approx(0.1)
         assert m.V[0, 0] == 0.1
@@ -124,7 +136,7 @@ class TestSgdStep:
         y = 1 if m.predict_raw(x) > 0 else -1  # pick the label the model already satisfies
         m.w0 += 5.0 * y  # push the margin well past 1
         before = m.copy()
-        sgd_step(m, LabeledInstance(x, y), cfg(k=3))
+        sgd_step(m, (x, y), cfg(k=3))
         assert m == before
 
     def test_locality(self):
@@ -132,7 +144,7 @@ class TestSgdStep:
         m = random_model(rng, 12, 3)
         before = m.copy()
         x = SparseVector([2, 7], [1.0, -1.5])
-        sgd_step(m, LabeledInstance(x, 1), cfg(k=3, reg_w=0.01, reg_v=0.01))
+        sgd_step(m, (x, 1), cfg(k=3, reg_w=0.01, reg_v=0.01))
         untouched = [i for i in range(12) if i not in (2, 7)]
         assert np.array_equal(m.w[untouched], before.w[untouched])
         assert np.array_equal(m.V[untouched], before.V[untouched])
@@ -140,7 +152,7 @@ class TestSgdStep:
     def test_dimension_mismatch(self):
         m = FMModel(0.0, [0.0], [[0.0]])
         with pytest.raises(DimensionMismatchError):
-            sgd_step(m, LabeledInstance(SparseVector([5], [1.0]), 1), cfg())
+            sgd_step(m, (SparseVector([5], [1.0]), 1), cfg())
 
     def test_gradients_match_finite_differences(self):
         # analytic gradient recovered from the parameter delta at lr=1, no decay
@@ -155,7 +167,7 @@ class TestSgdStep:
                 continue
             checked += 1
             before = model.copy()
-            sgd_step(model, LabeledInstance(x, y), step_cfg)
+            sgd_step(model, (x, y), step_cfg)
 
             def numeric(mutate):
                 h = 1e-6
@@ -188,7 +200,7 @@ class TestSgdStep:
             x = random_instance(rng, 8, 4, min_nnz=2)
             y = int(rng.choice([-1, 1]))
             before = model.copy()
-            sgd_step(model, LabeledInstance(x, y), step_cfg)
+            sgd_step(model, (x, y), step_cfg)
             h = 1e-6
             i = int(x.indices[0])
             probe_hi, probe_lo = before.copy(), before.copy()
@@ -204,8 +216,8 @@ class TestSgdStep:
 class TestTrainBinary:
     def test_separable_pair(self):
         data = [
-            LabeledInstance(SparseVector([0], [1.0]), 1),
-            LabeledInstance(SparseVector([1], [1.0]), -1),
+            (SparseVector([0], [1.0]), 1),
+            (SparseVector([1], [1.0]), -1),
         ]
         model = train_binary(data, 2, cfg(k=0, learning_rate=0.1, epochs=50, init_sd=0))
         assert accuracy(model, data) == 1.0
@@ -227,17 +239,17 @@ class TestTrainBinary:
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
-        data = [LabeledInstance(random_instance(rng, 10, 5), int(rng.choice([-1, 1]))) for _ in range(30)]
+        data = [(random_instance(rng, 10, 5), int(rng.choice([-1, 1]))) for _ in range(30)]
         config = cfg(k=3, epochs=5, reg_w=1e-4, reg_v=1e-4, seed=11)
         assert train_binary(data, 10, config) == train_binary(data, 10, config)
 
     def test_learning_progress(self):
         rng = np.random.default_rng(6)
-        data = [LabeledInstance(random_instance(rng, 15, 6, min_nnz=1), int(rng.choice([-1, 1]))) for _ in range(50)]
+        data = [(random_instance(rng, 15, 6, min_nnz=1), int(rng.choice([-1, 1]))) for _ in range(50)]
         config = cfg(k=3, learning_rate=0.05, epochs=30, reg_w=1e-4, reg_v=1e-4, seed=2)
 
         def regularized_mean_loss(model):
-            data_term = np.mean([loss_value("hinge", model.predict_raw(i.x), i.y) for i in data])
+            data_term = np.mean([loss_value("hinge", model.predict_raw(x), y) for x, y in data])
             penalty = 0.5 * (
                 config.reg_w * float(model.w @ model.w)
                 + config.reg_v * float((model.V * model.V).sum())
@@ -249,7 +261,7 @@ class TestTrainBinary:
         assert after <= before
 
     def test_epoch_callback_reports_mean_loss(self):
-        data = [LabeledInstance(SparseVector([0], [1.0]), 1)]
+        data = [(SparseVector([0], [1.0]), 1)]
         seen = []
         train_binary(data, 1, cfg(k=0, epochs=3, init_sd=0), on_epoch=lambda e, l: seen.append((e, l)))
         assert [e for e, _ in seen] == [0, 1, 2]
@@ -260,19 +272,29 @@ class TestTrainBinary:
             train_binary([], 3, cfg())
 
     def test_out_of_range_index_rejected(self):
-        data = [LabeledInstance(SparseVector([9], [1.0]), 1)]
+        data = [(SparseVector([9], [1.0]), 1)]
         with pytest.raises(DimensionMismatchError):
             train_binary(data, 3, cfg())
 
     def test_divergent_loss_raises(self):
-        data = [LabeledInstance(x, 1 if tag == "ENT" else -1) for x, tag in make_xor_tagged(10, 1)]
-        config = cfg(k=2, learning_rate=50, loss="logistic", reg_w=10, reg_v=10, epochs=3)
-        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="diverged at epoch 3"):
+        data = [(x, 1 if tag == "ENT" else -1) for x, tag in make_xor_tagged(10, 1)]
+        config = cfg(k=2, learning_rate=1e200, loss="logistic", reg_w=0, reg_v=0, epochs=3)
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="diverged at epoch 1"):
             train_binary(data, 2, config)
 
     def test_non_finite_final_parameters_raise(self):
         # the only epoch sees a finite loss; its update overflows w[0] to inf
-        data = [LabeledInstance(SparseVector([0], [2.0]), 1)]
+        data = [(SparseVector([0], [2.0]), 1)]
         config = cfg(k=0, learning_rate=1e308, epochs=1, init_sd=0)
         with np.errstate(all="ignore"), pytest.raises(ConfigError, match="not finite"):
             train_binary(data, 1, config)
+
+    def test_non_finite_parameters_stop_their_epoch(self):
+        # epoch 1 overflows w[0] to inf while its mean loss stays 1; the later
+        # epochs would see finite losses, so only a per-epoch check stops here
+        data = [(SparseVector([0], [2.0]), 1)]
+        config = cfg(k=0, learning_rate=1e308, epochs=3, init_sd=0)
+        seen = []
+        with np.errstate(all="ignore"), pytest.raises(ConfigError, match="epoch 1: .*not finite"):
+            train_binary(data, 1, config, on_epoch=lambda e, l: seen.append(e))
+        assert seen == []
