@@ -92,6 +92,20 @@ def _require_files(*paths):
             raise ConfigError(f"input file not found: {path}")
 
 
+def _check_out_file(path):
+    """An output file path must not be a directory and must sit in one that exists."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out must name a file, not a directory: {path}")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"--out is in a directory that does not exist: {path}")
+
+
+def _check_out_dir(path):
+    """An output directory path must not be an existing file."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"--out must name a directory, not a file: {path}")
+
+
 def _read_candidates(path, need_gold=False):
     _require_files(path)
     candidates = read_candidates_tsv(path)
@@ -119,6 +133,7 @@ def _score(model, space, candidates):
 
 
 def cmd_prepare(args):
+    _check_out_dir(args.out)
     _require_files(args.train, *(p for p in (args.dev, args.test) if p))
     train_candidates = extract_candidates(
         parse_column_file(args.train, args.token_col, args.tag_col)
@@ -154,6 +169,7 @@ def cmd_stats(args):
 
 
 def cmd_train(args):
+    _check_out_dir(args.out)
     candidates = _read_candidates(args.candidates, need_gold=True)
     space = FeatureSpace.fit(candidates)
     data = [(space.vectorize_candidate(c), c.gold_tag) for c in candidates]
@@ -173,6 +189,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    _check_out_file(args.out)
     model, space = _load_model_and_space(args)
     candidates = _read_candidates(args.candidates)
     scores = _score(model, space, candidates)
@@ -204,6 +221,7 @@ def _pr_curve_files(model, gold, scores) -> dict[str, str]:
 
 
 def cmd_eval(args):
+    _check_out_dir(args.out)
     model, space = _load_model_and_space(args)
     candidates = _read_candidates(args.candidates, need_gold=True)
     gold = [c.gold_tag for c in candidates]
@@ -228,6 +246,7 @@ def cmd_eval(args):
 
 
 def cmd_sweep_k(args):
+    _check_out_file(args.out)
     train_candidates = _read_candidates(args.train, need_gold=True)
     dev_candidates = _read_candidates(args.dev, need_gold=True)
     try:

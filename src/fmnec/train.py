@@ -11,6 +11,9 @@ the instance; all other parameters stay bit-identical.  The score partials
 are ds/dw0 = 1, ds/dw[i] = x[i] and, for the factor entries,
 ds/dV[i,f] = x[i] * (sum_j V[j,f] x[j]) - V[i,f] * x[i]^2, all evaluated at
 the pre-update parameters.
+
+A binary instance (all values 1.0, as every ``FeatureSpace`` vector is) skips
+the products by its values: IEEE 754 multiplication by 1.0 is exact.
 """
 
 from __future__ import annotations
@@ -107,16 +110,18 @@ def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
     return -margin + math.log1p(e), -float(y) / (1.0 + e)
 
 
-def _step(model: FMModel, x: SparseVector, y: int, config: TrainConfig) -> float:
+def _step(model: FMModel, x: SparseVector, y: int, config: TrainConfig, binary: bool) -> float:
     """One in-place SGD update on an instance and label already checked
-    against ``model.n`` and the label rule; returns the pre-update loss."""
+    against ``model.n`` and the label rule; returns the pre-update loss.
+    With ``binary`` (every value 1.0) the products by 1.0 are exact and skipped,
+    and every reduction keeps its operands and order, so the bits stay the same."""
     idx = x.indices
     vals = x.values
     w_act = model.w[idx]
     score = model.w0 + float(w_act @ vals)
     if model.k:  # k = 0 (sweep-k's linear baseline) has no factor work to do
-        V_act = model.V[idx]
-        scaled = V_act * vals[:, None]
+        V_act = model.V.take(idx, axis=0)
+        scaled = V_act if binary else V_act * vals[:, None]
         per_factor = scaled.sum(axis=0)
         if idx.size > 1:  # a lone feature's interaction stays exactly 0, as in _Batch
             score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
@@ -125,10 +130,11 @@ def _step(model: FMModel, x: SparseVector, y: int, config: TrainConfig) -> float
     lr = config.learning_rate
 
     model.w0 -= lr * g
-    model.w[idx] = w_act - lr * (g * vals + config.reg_w * w_act)
+    model.w[idx] = w_act - lr * ((g if binary else g * vals) + config.reg_w * w_act)
     if model.k:
         if g != 0.0:  # hinge past the margin has g = 0: only the decay term is left
-            grad = vals[:, None] * per_factor[None, :] - scaled * vals[:, None]
+            grad = (per_factor - V_act if binary
+                    else vals[:, None] * per_factor[None, :] - scaled * vals[:, None])
             model.V[idx] = V_act - lr * (g * grad + config.reg_v * V_act)
         elif config.reg_v != 0.0:
             model.V[idx] = V_act - lr * (config.reg_v * V_act)
@@ -140,7 +146,7 @@ def sgd_step(model: FMModel, inst, config: TrainConfig) -> FMModel:
     x, y = inst
     _check_label(y)
     _check_dimension(int(x.indices[-1]) if x.nnz else -1, model.n)
-    _step(model, x, y, config)
+    _step(model, x, y, config, bool((x.values == 1.0).all()))
     return model
 
 
@@ -161,6 +167,9 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
         _check_label(y)
     _check_dimension(max((int(x.indices[-1]) for x, _ in data if x.nnz), default=-1), n)
 
+    # chunks of 256 vectors keep the temporary too small to raise peak RSS
+    binary = all((np.concatenate([x.values for x, _ in data[i : i + 256]]) == 1.0).all()
+                 for i in range(0, len(data), 256))
     model = init_model(n, config)
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     # a diverging run overflows inside numpy; the finiteness check below
@@ -169,7 +178,7 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
         for epoch in range(config.epochs):
             total = 0.0
             for t in rng.permutation(len(data)):
-                total += _step(model, *data[t], config)
+                total += _step(model, *data[t], config, binary)
             mean_loss = total / len(data)
             if not (math.isfinite(mean_loss) and _finite_parameters(model.w0, model.w, model.V)):
                 raise ConfigError(

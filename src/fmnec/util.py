@@ -47,8 +47,10 @@ def first_bad_token(strings) -> str | None:
 def atomic_write(path):
     """Open a text file for writing via a temp file renamed into place.
 
-    Interrupted writers never leave a partial file at the target path.  The
-    file gets the mode ``open(path, "w")`` would give it: 0o666 less the umask.
+    Interrupted writers and failed renames never leave a partial file at the
+    target path, nor the temp file beside it; a failed rename raises an
+    ``OSError`` naming the target.  The file gets the mode ``open(path, "w")``
+    would give it: 0o666 less the umask.
     """
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".tmp.{secrets.token_hex(8)}~")
@@ -56,13 +58,16 @@ def atomic_write(path):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-    os.replace(tmp, path)
 
 
 @contextmanager

@@ -14,9 +14,12 @@ def random_model(rng, n, k, scale=0.5):
     return FMModel(float(rng.normal()), rng.normal(0, scale, n), rng.normal(0, scale, (n, k)))
 
 
-def random_instance(rng, n, max_nnz, min_nnz=0):
+def random_instance(rng, n, max_nnz, min_nnz=0, binary=False):
+    """A random sparse vector; ``binary`` gives every entry the value 1.0."""
     nnz = int(rng.integers(min_nnz, max_nnz + 1))
     idx = np.sort(rng.choice(n, size=nnz, replace=False))
+    if binary:
+        return SparseVector(idx, np.ones(nnz))
     vals = rng.uniform(0.1, 2.0, nnz) * rng.choice([-1.0, 1.0], nnz)
     return SparseVector(idx, vals)
 

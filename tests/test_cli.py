@@ -369,3 +369,30 @@ def test_infinite_init_sd_is_config_error(pipeline, tmp_path):
     assert "init_sd must be finite" in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-k", "train", "predict"])
+def test_bad_out_is_config_error_before_any_work(pipeline, tmp_path, command):
+    # sweep-k into a missing directory, train over an existing file,
+    # predict onto an existing directory
+    train = str(pipeline["prepared"] / "train.candidates.tsv")
+    if command == "sweep-k":
+        out = tmp_path / "missing_dir" / "k.tsv"
+        argv = ["sweep-k", "--train", train, "--dev", str(pipeline["test_candidates"]),
+                "--k-values", "0,2", "--epochs", "1"]
+    elif command == "train":
+        out = tmp_path / "model"
+        out.write_text("not a directory\n")
+        argv = ["train", "--candidates", train, "--epochs", "1"]
+    else:
+        out = tmp_path / "predictions"
+        out.mkdir()
+        argv = ["predict", "--model", str(pipeline["model"]), "--space", str(pipeline["space"]),
+                "--candidates", str(pipeline["test_candidates"])]
+    before = sorted(tmp_path.rglob("*"))
+    result = _run_cli(*argv, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1
+    assert str(out) in result.stderr
+    assert " epoch " not in result.stderr
+    assert sorted(tmp_path.rglob("*")) == before

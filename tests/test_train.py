@@ -14,6 +14,7 @@ from fmnec import (
     sgd_step,
     train_binary,
 )
+from fmnec.util import derive_seed
 
 from helpers import accuracy, make_xor_tagged, random_instance, random_model, xor_clean_instances
 
@@ -154,63 +155,75 @@ class TestSgdStep:
         with pytest.raises(DimensionMismatchError):
             sgd_step(m, (SparseVector([5], [1.0]), 1), cfg())
 
+    # each check runs on real values and on binary instances (all values 1.0),
+    # which take _step's branch without the products by the values
     def test_gradients_match_finite_differences(self):
         # analytic gradient recovered from the parameter delta at lr=1, no decay
-        rng = np.random.default_rng(2)
         step_cfg = cfg(k=3, learning_rate=1.0)
-        checked = 0
-        while checked < 30:
-            model = random_model(rng, 10, 3)
-            x = random_instance(rng, 10, 5, min_nnz=1)
-            y = int(rng.choice([-1, 1]))
-            if abs(1.0 - y * model.predict_raw(x)) <= 1e-3:
-                continue
-            checked += 1
-            before = model.copy()
-            sgd_step(model, (x, y), step_cfg)
+        for binary in (False, True):
+            rng = np.random.default_rng(2)
+            checked = 0
+            sizes = set()
+            while checked < 30:
+                model = random_model(rng, 10, 3)
+                x = random_instance(rng, 10, 5, min_nnz=1, binary=binary)
+                y = int(rng.choice([-1, 1]))
+                if abs(1.0 - y * model.predict_raw(x)) <= 1e-3:
+                    continue
+                checked += 1
+                sizes.add(x.nnz)
+                before = model.copy()
+                sgd_step(model, (x, y), step_cfg)
 
-            def numeric(mutate):
-                h = 1e-6
+                def numeric(mutate):
+                    h = 1e-6
 
-                def loss_at(delta):
-                    probe = before.copy()
-                    mutate(probe, delta)
-                    return loss_value("hinge", probe.predict_raw(x), y)
+                    def loss_at(delta):
+                        probe = before.copy()
+                        mutate(probe, delta)
+                        return loss_value("hinge", probe.predict_raw(x), y)
 
-                return (loss_at(h) - loss_at(-h)) / (2 * h)
+                    return (loss_at(h) - loss_at(-h)) / (2 * h)
 
-            def check(analytic, mutate):
-                fd = numeric(mutate)
-                assert abs(analytic - fd) <= 1e-5 * (1 + abs(fd))
+                def check(analytic, mutate):
+                    fd = numeric(mutate)
+                    assert abs(analytic - fd) <= 1e-5 * (1 + abs(fd)), f"binary={binary}"
 
-            check(before.w0 - model.w0, lambda p, d: setattr(p, "w0", p.w0 + d))
-            for i in x.indices.tolist():
-                check(before.w[i] - model.w[i], lambda p, d, i=i: p.w.__setitem__(i, p.w[i] + d))
-                for f in range(3):
-                    check(
-                        before.V[i, f] - model.V[i, f],
-                        lambda p, d, i=i, f=f: p.V.__setitem__((i, f), p.V[i, f] + d),
-                    )
+                check(before.w0 - model.w0, lambda p, d: setattr(p, "w0", p.w0 + d))
+                for i in x.indices.tolist():
+                    check(before.w[i] - model.w[i],
+                          lambda p, d, i=i: p.w.__setitem__(i, p.w[i] + d))
+                    for f in range(3):
+                        check(
+                            before.V[i, f] - model.V[i, f],
+                            lambda p, d, i=i, f=f: p.V.__setitem__((i, f), p.V[i, f] + d),
+                        )
+            assert 1 in sizes  # a lone feature's interaction is exactly 0
 
     def test_logistic_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(3)
         step_cfg = cfg(k=2, learning_rate=1.0, loss="logistic")
-        for _ in range(10):
-            model = random_model(rng, 8, 2)
-            x = random_instance(rng, 8, 4, min_nnz=2)
-            y = int(rng.choice([-1, 1]))
-            before = model.copy()
-            sgd_step(model, (x, y), step_cfg)
-            h = 1e-6
-            i = int(x.indices[0])
-            probe_hi, probe_lo = before.copy(), before.copy()
-            probe_hi.V[i, 0] += h
-            probe_lo.V[i, 0] -= h
-            fd = (
-                loss_value("logistic", probe_hi.predict_raw(x), y)
-                - loss_value("logistic", probe_lo.predict_raw(x), y)
-            ) / (2 * h)
-            assert before.V[i, 0] - model.V[i, 0] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+        # binary draws include one-feature instances, whose factor gradient is exactly 0
+        for binary, min_nnz in ((False, 2), (True, 1)):
+            rng = np.random.default_rng(3)
+            sizes = set()
+            for _ in range(10):
+                model = random_model(rng, 8, 2)
+                x = random_instance(rng, 8, 4, min_nnz=min_nnz, binary=binary)
+                sizes.add(x.nnz)
+                y = int(rng.choice([-1, 1]))
+                before = model.copy()
+                sgd_step(model, (x, y), step_cfg)
+                h = 1e-6
+                i = int(x.indices[0])
+                probe_hi, probe_lo = before.copy(), before.copy()
+                probe_hi.V[i, 0] += h
+                probe_lo.V[i, 0] -= h
+                fd = (
+                    loss_value("logistic", probe_hi.predict_raw(x), y)
+                    - loss_value("logistic", probe_lo.predict_raw(x), y)
+                ) / (2 * h)
+                assert before.V[i, 0] - model.V[i, 0] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+            assert min_nnz in sizes
 
 
 class TestTrainBinary:
@@ -259,6 +272,29 @@ class TestTrainBinary:
         before = regularized_mean_loss(init_model(15, config))
         after = regularized_mean_loss(train_binary(data, 15, config))
         assert after <= before
+
+    # one non-binary vector sends train_binary down the general products for
+    # the whole set while sgd_step still takes the binary branch on the others
+    @pytest.mark.parametrize("one_real", [False, True], ids=["binary", "one-real"])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("reg", [0.0, 1e-3])
+    def test_matches_sgd_step_chain(self, one_real, loss, k, reg):
+        rng = np.random.default_rng(9)
+        data = [(random_instance(rng, 12, 6, binary=True), int(rng.choice([-1, 1])))
+                for _ in range(40)]
+        if one_real:
+            data[7] = (random_instance(rng, 12, 6, min_nnz=2), data[7][1])
+        config = cfg(k=k, loss=loss, reg_w=reg, reg_v=reg, epochs=3, seed=5)
+        expected = init_model(12, config)
+        order = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+        for _ in range(config.epochs):
+            for t in order.permutation(len(data)):
+                sgd_step(expected, data[t], config)
+        model = train_binary(data, 12, config)
+        assert np.float64(model.w0).tobytes() == np.float64(expected.w0).tobytes()
+        assert model.w.tobytes() == expected.w.tobytes()
+        assert model.V.tobytes() == expected.V.tobytes()
 
     def test_epoch_callback_reports_mean_loss(self):
         data = [(SparseVector([0], [1.0]), 1)]

@@ -41,6 +41,18 @@ class TestAtomicWrite:
         assert target.read_text() == "original"
         assert os.listdir(tmp_path) == ["out.txt"]
 
+    def test_failed_rename_leaves_no_trace(self, tmp_path):
+        # the rename onto a directory fails after the temp file is written
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(OSError) as err:
+            with atomic_write(target) as fh:
+                fh.write("content")
+        assert str(target) in str(err.value)
+        assert ".tmp." not in str(err.value)
+        assert os.listdir(tmp_path) == ["out"]
+        assert os.listdir(target) == []
+
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_mode_follows_umask(self, tmp_path, umask):
         # the same mode open(path, "w") gives
