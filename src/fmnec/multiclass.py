@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -78,7 +81,9 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     """Train one binary machine per distinct tag: that tag versus everything else.
 
     Each label trains under a seed derived from (config.seed, label), so the
-    result is reproducible and independent of tag order in ``data``.
+    result is reproducible and independent of tag order in ``data``.  With W
+    usable CPUs, at most one per label, this process trains ``labels[0::W]``
+    and a forked worker each other stride; results are taken in label order.
     ``on_epoch``, when given, receives (label, epoch index, mean loss).
     A diverging label raises ``ConfigError`` naming the label and the epoch.
     """
@@ -90,16 +95,100 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
         raise ConfigError("every training instance needs a tag")
     labels = sorted(tags)
     _check_labels(labels)
-    models = []
+    W = _process_count(len(labels))
+    workers = []
+    try:
+        for w in range(1, W):
+            workers.append(_Worker(data, n, config, labels[w::W]))
+        own = iter(_train_labels(data, n, config, labels[0::W]))
+        models = []
+        for i, label in enumerate(labels):  # the first failure in label order raises
+            calls, outcome = next(own) if i % W == 0 else workers[i % W - 1].receive()
+            for args in calls if on_epoch is not None else ():
+                on_epoch(label, *args)
+            if isinstance(outcome, Exception):
+                raise outcome
+            models.append(outcome)
+    finally:
+        for worker in workers:
+            worker.close()
+    return OvAModel(labels, models)
+
+
+def _train_labels(data, n: int, config: TrainConfig, labels) -> list:
+    """(``on_epoch`` arguments, model or exception) of each label, up to the first failure."""
+    results = []
     for label in labels:
         binary = [(x, 1 if tag == label else -1) for x, tag in data]
         label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
-        callback = None if on_epoch is None else partial(on_epoch, label)
+        calls = []
         try:
-            models.append(train_binary(binary, n, label_config, on_epoch=callback))
+            results.append((calls, train_binary(binary, n, label_config,
+                                                 on_epoch=lambda *args: calls.append(args))))
         except ConfigError as exc:
-            raise ConfigError(f"label {label}: {exc}") from None
-    return OvAModel(labels, models)
+            return results + [(calls, ConfigError(f"label {label}: {exc}"))]
+        except Exception as exc:  # train_ova raises it in label order, also from a worker
+            return results + [(calls, exc)]
+    return results
+
+
+def _process_count(label_count: int) -> int:
+    """Processes to train on: one per usable CPU, at most one per label, and
+    only this one in a multiprocessing daemon (a Pool worker), which its pool
+    may end with no chance to end the daemon's own children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    mp = sys.modules.get("multiprocessing")
+    return 1 if mp is not None and mp.current_process().daemon else min(label_count, cpus)
+
+
+class _Worker:
+    """A forked process that trains ``labels``, then pickles their results into a pipe."""
+
+    def __init__(self, data, n: int, config: TrainConfig, labels):
+        self.labels = labels
+        self.status = None  # the wait status, once reaped
+        read_end, write_end = os.pipe()
+        # Python >= 3.12 warns that forking with threads alive may deadlock the child.
+        # Ours are OpenBLAS's, which stops its pool around fork (pthread_atfork); the
+        # child runs single-threaded numpy on data it only reads, and its models came
+        # out bit-identical with them alive.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:  # the worker ends here, whatever happens: no traceback, no stdio flush
+            code = 1
+            try:
+                os.close(read_end)
+                # every label trains before the first write: a full pipe must not stall training
+                results = _train_labels(data, n, config, labels)
+                with open(write_end, "wb") as out:
+                    for result in results:
+                        pickle.dump(result, out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)  # the worker holds the only write end: its exit ends the pipe
+        self.reader = open(read_end, "rb")
+
+    def receive(self):
+        """The next result, read with no copy beyond the arrays it holds."""
+        try:
+            return pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
+            self.reader.close()
+            self.status = os.waitpid(self.pid, 0)[1]
+            raise ChildProcessError(
+                f"the training worker for labels {', '.join(self.labels)} exited with code "
+                f"{os.waitstatus_to_exitcode(self.status)} before sending its results"
+            ) from None
+
+    def close(self) -> None:
+        if self.status is None:  # not reaped, so the pid is still this worker's
+            import signal  # only here: commands that train nothing never load it
+
+            self.reader.close()
+            os.kill(self.pid, signal.SIGTERM)  # a worker still training has lost its caller
+            self.status = os.waitpid(self.pid, 0)[1]
 
 
 def write_ova_model(fh, model: OvAModel) -> None:

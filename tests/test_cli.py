@@ -396,3 +396,42 @@ def test_bad_out_is_config_error_before_any_work(pipeline, tmp_path, command):
     assert str(out) in result.stderr
     assert " epoch " not in result.stderr
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_dead_training_worker_is_one_line(pipeline, tmp_path):
+    # at 2 usable CPUs the caller trains O and a forked worker PER; the worker dies
+    script = (
+        "import os, sys\n"
+        "from fmnec import cli, multiclass\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "caller, real = os.getpid(), multiclass.train_binary\n"
+        "def train_binary(*args, **kwargs):\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(3)\n"
+        "    return real(*args, **kwargs)\n"
+        "multiclass.train_binary = train_binary\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
+    out = tmp_path / "m"
+    result = subprocess.run(
+        [sys.executable, "-c", script, "train", "--epochs", "1", "--out", str(out),
+         "--candidates", str(pipeline["prepared"] / "train.candidates.tsv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert [line for line in result.stderr.splitlines() if "mean loss" not in line] == [
+        "error: the training worker for labels PER exited with code 3 before sending its results"
+    ]
+    assert not out.exists()
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # predict and eval train nothing, so they must not pay for the imports
+    # that only forking training workers needs
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
+    script = ("import sys, fmnec.cli\n"
+              "print(sorted({'multiprocessing', 'signal'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout == "[]\n"

@@ -1,6 +1,14 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+import warnings
+
 import numpy as np
 import pytest
 
+import fmnec
 from fmnec import (
     ConfigError,
     DataFormatError,
@@ -13,6 +21,9 @@ from fmnec import (
     save_ova_model,
     train_ova,
 )
+
+from fmnec import multiclass
+from fmnec.util import derive_seed
 
 from helpers import make_xor_tagged
 
@@ -244,3 +255,223 @@ class TestOvaFile:
         with pytest.raises(DataFormatError, match=message) as err:
             load_ova_model(path)
         assert err.value.line == line
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The pid of every worker train_ova forks during the test."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids, count):
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # waited for: no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def tagged(label_count, n=12, size=40, seed=0):
+    """Binary instances of 3 random features, tags T0, T1, ... taken in turn."""
+    rng = np.random.default_rng(seed)
+    return [(SparseVector(np.sort(rng.choice(n, 3, replace=False)), np.ones(3)),
+             f"T{i % label_count}") for i in range(size)]
+
+
+def train_recorded(data, n, config):
+    """The model's parameter bytes and every on_epoch call, or the error and the calls before it."""
+    calls = []
+    try:
+        model = train_ova(data, n, config, on_epoch=lambda *args: calls.append(args))
+    except ConfigError as exc:
+        return str(exc), calls
+    return [(m.w0, m.w.tobytes(), m.V.tobytes()) for m in model.models], calls
+
+
+def patch_train_binary(monkeypatch, config, effects, where="worker"):
+    """Run ``effects[label](on_epoch)`` before training that label ``where``
+    ("caller", "worker" or "anywhere"); record the labels the caller trains."""
+    real = multiclass.train_binary
+    caller = os.getpid()
+    by_seed = {derive_seed(config.seed, "ova-label", label): (label, effect)
+               for label, effect in effects.items()}
+    trained_here = []
+
+    def train_binary(data, n, label_config, on_epoch=None):
+        label, effect = by_seed.get(label_config.seed, (None, None))
+        if os.getpid() == caller:
+            trained_here.append(label)
+        here = "caller" if os.getpid() == caller else "worker"
+        if effect is not None and where in ("anywhere", here):
+            effect(on_epoch)
+        return real(data, n, label_config, on_epoch=on_epoch)
+
+    monkeypatch.setattr(multiclass, "train_binary", train_binary)
+    return trained_here
+
+
+def train_without_fork(data, n, config):
+    os.fork = None  # in a Pool worker: any attempt to fork fails
+    return train_ova(data, n, config)
+
+
+def raising(exc):
+    def effect(on_epoch):
+        on_epoch(0, 0.5)
+        raise exc
+    return effect
+
+
+class TestParallelTraining:
+    """Labels train on one process per usable CPU; nothing observable may depend on it."""
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("label_count", [1, 2, 5])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_same_models_and_epoch_calls_as_one_cpu(self, monkeypatch, forks, cpus, label_count,
+                                                    loss, k):
+        data = tagged(label_count)
+        config = cfg(k=k, loss=loss, epochs=3, reg_w=1e-3, reg_v=1e-3)
+        usable_cpus(monkeypatch, 1)
+        serial = train_recorded(data, 12, config)
+        usable_cpus(monkeypatch, cpus)
+        assert train_recorded(data, 12, config) == serial
+        assert len(serial[1]) == 3 * label_count
+        assert_reaped(forks, min(cpus, label_count) - 1)
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_divergence_same_message_and_calls_as_one_cpu(self, monkeypatch, cpus):
+        config = TrainConfig(k=2, learning_rate=1e200, loss="logistic", reg_w=0, reg_v=0, epochs=3)
+        data = make_xor_tagged(10, 1)
+        usable_cpus(monkeypatch, 1)
+        with np.errstate(all="ignore"):
+            serial = train_recorded(data, 2, config)
+            usable_cpus(monkeypatch, cpus)
+            assert train_recorded(data, 2, config) == serial
+        assert serial[0].startswith("label ENT: training diverged at epoch 1")
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_first_failure_in_label_order_raises(self, monkeypatch, forks, cpus):
+        # T1 and T2 both fail, in the caller or in different workers; T1's
+        # error wins, after T0's two epochs and the one epoch T1 reported
+        config = cfg(epochs=2)
+        effects = {"T1": raising(ConfigError("one")), "T2": raising(ValueError("two"))}
+        patch_train_binary(monkeypatch, config, effects, where="anywhere")
+        usable_cpus(monkeypatch, cpus)
+        calls = []
+        with pytest.raises(ConfigError, match="^label T1: one$"):
+            train_ova(tagged(4), 12, config, on_epoch=lambda *args: calls.append(args))
+        assert [(label, epoch) for label, epoch, _ in calls] == [("T0", 0), ("T0", 1), ("T1", 0)]
+        assert_reaped(forks, min(cpus, 4) - 1)
+
+    def test_caller_trains_every_stride_of_labels(self, monkeypatch):
+        config = cfg(epochs=1)
+        trained_here = patch_train_binary(monkeypatch, config, {f"T{i}": None for i in range(5)})
+        usable_cpus(monkeypatch, 2)
+        train_ova(tagged(5), 12, config)
+        assert trained_here == ["T0", "T2", "T4"]
+
+    @pytest.mark.parametrize("serial", ["one cpu", "one label", "no sched_getaffinity"])
+    def test_serial_cases_start_no_process(self, monkeypatch, serial):
+        config = cfg(epochs=1)
+        labels = 1 if serial == "one label" else 3
+        trained_here = patch_train_binary(monkeypatch, config, {f"T{i}": None for i in range(3)})
+        if serial == "no sched_getaffinity":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            usable_cpus(monkeypatch, 1 if serial == "one cpu" else 4)
+        monkeypatch.setattr(os, "fork", None)  # starting a process would fail
+        train_ova(tagged(labels), 12, config)
+        assert trained_here == [f"T{i}" for i in range(labels)]
+
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # the Pool's own fork
+    def test_daemonic_caller_trains_serially(self, monkeypatch):
+        # a Pool worker is a daemon, which its pool may end with no chance to
+        # end the daemon's own children; there train_ova must not fork
+        data = make_xor_tagged(5, 1)
+        config = cfg(k=1, epochs=2)
+        usable_cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            model = pool.apply(train_without_fork, (data, 2, config))
+        assert model == train_ova(data, 2, config)
+
+    def test_no_worker_outlives_an_interrupt_in_the_caller(self, monkeypatch, forks):
+        # the caller's first label is interrupted while the workers train theirs,
+        # one of them for a minute: train_ova ends both workers and returns at once
+        config = cfg(epochs=1)
+        interrupt = {"T0": raising(KeyboardInterrupt())}
+        patch_train_binary(monkeypatch, config, interrupt, where="caller")
+        patch_train_binary(monkeypatch, config, {"T1": lambda on_epoch: time.sleep(60)})
+        usable_cpus(monkeypatch, 3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train_ova(tagged(3), 12, config)
+        assert time.monotonic() - start < 20
+        assert_reaped(forks, 2)
+
+    def test_worker_exception_comes_back_whole(self, monkeypatch, forks, capfd):
+        config = cfg(epochs=1)
+        effects = {"T1": raising(DimensionMismatchError("feature index 99 out of range for n=12"))}
+        patch_train_binary(monkeypatch, config, effects)
+        usable_cpus(monkeypatch, 2)
+        message = "^feature index 99 out of range for n=12$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            train_ova(tagged(2), 12, config)
+        assert "Traceback" not in capfd.readouterr().err
+        assert_reaped(forks, 1)
+
+    def test_dead_worker_names_its_labels_and_exit_code(self, monkeypatch, forks, capfd):
+        config = cfg(epochs=1)
+        patch_train_binary(monkeypatch, config, {"T1": lambda on_epoch: os._exit(3)})
+        usable_cpus(monkeypatch, 2)
+        message = ("^the training worker for labels T1, T3 exited with code 3 "
+                   "before sending its results$")
+        with pytest.raises(ChildProcessError, match=message):
+            train_ova(tagged(4), 12, config)
+        assert capfd.readouterr().err == ""
+        assert_reaped(forks, 1)
+
+    def test_fork_warning_of_python_3_12_is_silenced(self, monkeypatch):
+        # Python >= 3.12 warns from os.fork when the process has other threads
+        real_fork = os.fork
+
+        def fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        usable_cpus(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            train_ova(tagged(2), 12, cfg(epochs=1))
+
+    def test_buffered_output_is_written_once(self):
+        # a fork child that flushed the stdout buffer it inherited would write it again
+        script = (
+            "import os, sys\n"
+            "from fmnec import SparseVector, TrainConfig, train_ova\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.stdout.write('unflushed marker\\n')\n"
+            "train_ova([(SparseVector([0], [1.0]), 'A'), (SparseVector([1], [1.0]), 'B')],\n"
+            "          2, TrainConfig(k=1, epochs=1))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**env, "PYTHONPATH": src}, check=True).stdout
+        assert out.count("unflushed marker") == 1
