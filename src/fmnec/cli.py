@@ -38,7 +38,7 @@ from .evaluate import (
 from .features import FeatureSpace
 from .multiclass import load_ova_model, save_ova_model, train_ova
 from .train import LOSS_KINDS, TrainConfig
-from .util import atomic_write, format_g17
+from .util import atomic_write
 
 log = logging.getLogger("fmnec")
 
@@ -194,11 +194,14 @@ def cmd_predict(args):
     candidates = _read_candidates(args.candidates)
     scores = _score(model, space, candidates)
     preds = model.best_labels(scores)
+    # "%.17g" % v is format_g17(v); one format per row, not one per value
+    row = "%s\t%s" + "\t%.17g" * len(model.labels) + "\n"
     with atomic_write(args.out) as fh:
         fh.write("# pred\tgold\t" + "\t".join(model.labels) + "\n")
-        for pred, candidate, row in zip(preds, candidates, scores.tolist()):
-            cells = [pred, candidate.gold_tag or "", *map(format_g17, row)]
-            fh.write("\t".join(cells) + "\n")
+        fh.writelines(
+            row % (pred, candidate.gold_tag or "", *values)
+            for pred, candidate, values in zip(preds, candidates, scores.tolist())
+        )
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, DataFormatError
 from .features import Candidate
-from .util import atomic_write, format_table, open_text
+from .util import atomic_write, first_bad_token, format_table, open_text
 
 # gold tag of the capitalized non-entity candidates; scored like any tag, but
 # reports leave it out of the micro averages and the PR curves
@@ -201,8 +201,12 @@ def read_candidates_tsv(path) -> list[Candidate]:
                     line=lineno,
                 )
             tag, span, left, right = parts
+            tokens = span.split()
+            # split() tokens meet the token rule: only an empty span or a bad tag needs the check
+            trusted = tokens and (not tag or first_bad_token((tag,)) is None)
             try:
-                out.append(Candidate(span.split(), left.split(), right.split(), tag or None))
+                build = Candidate._unchecked if trusted else Candidate
+                out.append(build(tokens, left.split(), right.split(), tag or None))
             except ValueError as exc:
                 raise DataFormatError(str(exc), path=str(path), line=lineno) from None
     return out

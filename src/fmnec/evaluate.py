@@ -84,13 +84,10 @@ def pr_curve(scores) -> list[tuple[float, float]]:
     if total_pos == 0:
         raise ConfigError("a precision-recall curve needs at least one positive instance")
     ranked = sorted(range(len(scores)), key=lambda i: -scores[i][0])
-    points = []
-    tp = 0
-    for depth, i in enumerate(ranked, 1):
-        if scores[i][1]:
-            tp += 1
-        points.append((tp / depth, tp / total_pos))
-    return points
+    tp = np.cumsum([bool(scores[i][1]) for i in ranked])
+    # counts below 2**53 are exact in float64, so each ratio has int / int's bits
+    precision = tp / np.arange(1, len(ranked) + 1)
+    return list(zip(precision.tolist(), (tp / total_pos).tolist()))
 
 
 def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
@@ -154,7 +151,9 @@ def format_confusion_tsv(report: EvalReport) -> str:
 
 def format_pr_curve_tsv(points) -> str:
     """Two-column numeric file (percent, 2 decimals), one ranking prefix per row."""
-    return _tsv(["recall", "precision"], ([_pct(r), _pct(p)] for p, r in points))
+    # recall before precision; "%.2f" % v is f"{v:.2f}", so each cell is _pct's
+    cells = (100.0 * np.array(points, dtype=np.float64).reshape(-1, 2)[:, ::-1]).ravel()
+    return "recall\tprecision\n" + "%.2f\t%.2f\n" * (cells.size // 2) % tuple(cells.tolist())
 
 
 def format_sweep_tsv(results) -> str:

@@ -50,6 +50,14 @@ class Candidate:
         if self.gold_tag is not None and first_bad_token((self.gold_tag,)) is not None:
             raise ValueError(f"gold tag must be non-empty and whitespace-free: {self.gold_tag!r}")
 
+    @classmethod
+    def _unchecked(cls, span_tokens, left_context, right_context, gold_tag) -> "Candidate":
+        """Build from tokens and a tag that already meet the invariants; nothing here checks."""
+        candidate = cls.__new__(cls)
+        vars(candidate).update(span_tokens=tuple(span_tokens), left_context=tuple(left_context),
+                               right_context=tuple(right_context), gold_tag=gold_tag)
+        return candidate
+
     @property
     def surface(self) -> str:
         return " ".join(self.span_tokens)
@@ -61,9 +69,10 @@ def extract_features(candidate: Candidate) -> set[str]:
     feats.update(f"ctx={token}" for token in candidate.right_context)
     chars = "".join(candidate.span_tokens)
     feats.add(f"cap={int(candidate.span_tokens[0][0].isupper())}")
-    feats.add(f"all-low={int(all(ch.islower() for ch in chars))}")
-    feats.add(f"all-cap1={int(all(ch.isupper() for ch in chars))}")
-    feats.add(f"all-cap2={int(all(ch.isupper() or ch == '.' for ch in chars))}")
+    upper = all(map(str.isupper, chars))
+    feats.add(f"all-low={int(all(map(str.islower, chars)))}")
+    feats.add(f"all-cap1={int(upper)}")
+    feats.add(f"all-cap2={int(upper or all(map(str.isupper, chars.replace('.', ''))))}")
     count = len(candidate.span_tokens)
     if count == 1:
         feats.add("num-tokens=1")
@@ -85,6 +94,8 @@ class FeatureSpace:
             raise ValueError(_first_name_error(names)[1])
         self.name_to_index = index
         self.index_to_name = names
+        self._ones = np.ones(len(names))  # every vector's values are a slice of it
+        self._ones.setflags(write=False)
 
     @classmethod
     def fit(cls, candidates) -> "FeatureSpace":
@@ -104,10 +115,10 @@ class FeatureSpace:
     def vectorize(self, names) -> SparseVector:
         """Binary vector over the known names; unknown names are silently dropped."""
         index = self.name_to_index
-        # distinct names map to distinct indices in [0, len(self)), sorted here,
-        # and every value is 1.0: the vector's invariants hold by construction
-        idx = np.array(sorted(index[nm] for nm in set(names) if nm in index), dtype=np.int64)
-        return SparseVector._unchecked(idx, np.ones(idx.size))
+        # distinct indices in [0, len(self)), sorted here, and every value is
+        # 1.0: the vector's invariants hold by construction
+        idx = np.array(sorted({index[nm] for nm in names if nm in index}), dtype=np.int64)
+        return SparseVector._unchecked(idx, self._ones[: idx.size])
 
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
         return self.vectorize(extract_features(candidate))

@@ -62,8 +62,8 @@ class SparseVector:
 
     @classmethod
     def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
-        """Wrap a fresh int64 and a fresh float64 array that already meet the
-        invariants; the caller guarantees them, nothing here checks."""
+        """Wrap int64 and float64 arrays that nothing writes and that already
+        meet the invariants; the caller guarantees them, nothing here checks."""
         indices.setflags(write=False)
         values.setflags(write=False)
         x = cls.__new__(cls)
@@ -237,9 +237,10 @@ def write_fm_model(fh, model: FMModel) -> None:
     fh.write(MODEL_FORMAT_HEADER + "\n")
     fh.write(f"{model.n} {model.k}\n")
     fh.write(format_g17(model.w0) + "\n")
-    fh.write(" ".join(map(format_g17, model.w.tolist())) + "\n")
-    for row in model.V.tolist():
-        fh.write(" ".join(map(format_g17, row)) + "\n")
+    # "%.17g" % v is format_g17(v); one format per line, not one per value
+    fh.write(" ".join(["%.17g"] * model.n) % tuple(model.w.tolist()) + "\n")
+    row = " ".join(["%.17g"] * model.k) + "\n"
+    fh.writelines(row % tuple(values) for values in model.V.tolist())
 
 
 def read_fm_model(cursor: LineCursor) -> FMModel:
@@ -268,18 +269,25 @@ def _take_block(cursor: LineCursor, what: str, rows: int, count: int) -> np.ndar
     """``rows`` lines of ``count`` floats each, as one flat array; line i is
     named ``what.format(i)`` in errors.
 
-    The block is split and converted whole: one NumPy cast, which accepts
-    exactly the strings ``float`` accepts.  Only when a line is missing, holds
-    the wrong number of values or a bad value is the block read again line by
-    line, so the error names that line.
+    One ``np.loadtxt`` parses the block; it gives ``float``'s bits on every
+    token it accepts, but rejects some ``float`` accepts (``1_0``, non-ASCII
+    digits) and skips blank lines.  A rejected or misshapen block is read again
+    line by line with ``float``, which names a bad line.  An all-blank block
+    never reaches loadtxt: it is the empty block (no rows, or k = 0) or an error.
     """
     start = cursor.lineno
-    split = [line.split() for line in cursor.take_lines(rows)]
-    if len(split) == rows and all(len(parts) == count for parts in split):
-        try:
-            return np.array(split, dtype=np.float64).reshape(-1)
-        except ValueError:
-            pass
+    lines = cursor.take_lines(rows)
+    if len(lines) == rows:
+        if not any(map(str.split, lines)):  # loadtxt would warn "input contained no data"
+            if not (rows and count):
+                return np.empty(0)
+        else:
+            try:
+                values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+                if values.shape == (rows, count):
+                    return values.reshape(-1)
+            except ValueError:
+                pass
     cursor.lineno = start
     return np.array(
         [v for i in range(rows) for v in _take_floats(cursor, what.format(i), count)]

@@ -128,6 +128,11 @@ def _train_labels(data, n: int, config: TrainConfig, labels) -> list:
         except ConfigError as exc:
             return results + [(calls, ConfigError(f"label {label}: {exc}"))]
         except Exception as exc:  # train_ova raises it in label order, also from a worker
+            try:  # one that pickle cannot send becomes one stated error, whatever W is
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # unpickling runs the exception's own __init__: anything goes
+                exc = RuntimeError(f"label {label}: training raised {type(exc).__name__}, "
+                                   f"which cannot be sent between processes: {exc}")
             return results + [(calls, exc)]
     return results
 

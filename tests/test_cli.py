@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import fmnec
-from fmnec import read_candidates_tsv
+from fmnec import FeatureSpace, load_ova_model, read_candidates_tsv
 from fmnec.cli import main
 
 from helpers import write_xor_corpus
@@ -121,6 +121,13 @@ class TestPredictCommand:
         body = [line.split("\t") for line in lines[1:]]
         assert len(body) == 40
         assert all(row[0] in ("O", "PER") for row in body)
+        # every score cell is the score's 17-significant-digit text
+        model = load_ova_model(pipeline["model"])
+        space = FeatureSpace.load(pipeline["space"])
+        candidates = read_candidates_tsv(pipeline["test_candidates"])
+        scores = model.predict_scores([space.vectorize_candidate(c) for c in candidates])
+        assert [row[1] for row in body] == [c.gold_tag for c in candidates]
+        assert [row[2:] for row in body] == [[f"{v:.17g}" for v in r] for r in scores.tolist()]
 
 
 class TestPredictWithoutGold:

@@ -227,6 +227,25 @@ class TestCandidatesTsv:
         write_candidates_tsv(path, [candidate])
         assert read_candidates_tsv(path) == [candidate]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="aZ. \x85\u3000\x1c\x0b", max_size=5), min_size=4, max_size=4))
+    def test_rows_read_as_the_public_constructor_builds(self, tmp_path_factory, fields):
+        # rows whose span and tag pass are built unchecked; every other row must
+        # fail exactly as the public constructor does, naming path and line
+        tag, span, left, right = fields
+        path = tmp_path_factory.mktemp("tsv") / "c.tsv"
+        path.write_text("Acme\tAcme\t\t\n" + "\t".join(fields) + "\n", encoding="utf-8")
+        try:
+            expected = Candidate(span.split(), left.split(), right.split(), tag or None)
+        except ValueError as exc:
+            with pytest.raises(DataFormatError) as err:
+                read_candidates_tsv(path)
+            assert str(err.value) == f"{path}:2: {exc}"
+            return
+        got = read_candidates_tsv(path)[1]
+        assert got == expected and hash(got) == hash(expected)
+        assert vars(got) == vars(expected)  # the same field types (tuples), nothing more
+
     def test_field_layout(self, tmp_path):
         path = tmp_path / "c.tsv"
         write_candidates_tsv(path, [Candidate(["a", "b"], ["l"], ["r"], "LOC")])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fmnec import ConfigError, TrainConfig, evaluate, pr_curve, sweep_k
 from fmnec.evaluate import (
@@ -116,6 +118,24 @@ class TestPrCurve:
                 scores[0] = (scores[0][0], True)
             recalls = [r for _, r in pr_curve(scores)]
             assert all(b >= a for a, b in zip(recalls, recalls[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 0.5, 2.0, float("inf"), -float("inf")]),
+                              st.booleans()), min_size=1, max_size=40))
+    def test_same_points_as_a_prefix_loop(self, scores):
+        assume(any(flag for _, flag in scores))
+        ranked = sorted(range(len(scores)), key=lambda i: -scores[i][0])
+        total = sum(flag for _, flag in scores)
+        expected, tp = [], 0
+        for depth, i in enumerate(ranked, 1):
+            tp += scores[i][1]
+            expected.append((tp / depth, tp / total))
+        points = pr_curve(scores)
+        assert points == expected
+        assert all(type(v) is float for point in points for v in point)
+        assert format_pr_curve_tsv(points) == "recall\tprecision\n" + "".join(
+            f"{100.0 * r:.2f}\t{100.0 * p:.2f}\n" for p, r in expected
+        )
 
     def test_no_positives_rejected(self):
         with pytest.raises(ConfigError):

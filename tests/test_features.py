@@ -82,6 +82,25 @@ class TestCandidate:
         assert ("x" + "x".join(spaces) + "x").split() == ["x"] * (len(spaces) + 1)
 
 
+def parent_extract_features(candidate):
+    """The character-class templates written one generator per predicate: the
+    oracle for the faster form in extract_features."""
+    feats = {f"ctx={token}" for token in (*candidate.left_context, *candidate.right_context)}
+    chars = "".join(candidate.span_tokens)
+    feats.add(f"cap={int(candidate.span_tokens[0][0].isupper())}")
+    feats.add(f"all-low={int(all(ch.islower() for ch in chars))}")
+    feats.add(f"all-cap1={int(all(ch.isupper() for ch in chars))}")
+    feats.add(f"all-cap2={int(all(ch.isupper() or ch == '.' for ch in chars))}")
+    count = len(candidate.span_tokens)
+    feats.add("num-tokens=1" if count == 1 else "num-tokens=2" if count == 2 else "num-tokens>2")
+    feats.add("dummy")
+    return feats
+
+
+# cased, uncased, titlecase and other-lowercase letters, digits, "." and "-"
+cased_tokens = st.text(alphabet="aZ.1\u00dfI\u0130\u01c5\u4e2d\u00aa-", min_size=1, max_size=6)
+
+
 class TestExtractFeatures:
     def test_capitalized_two_token_span(self):
         c = Candidate(["John", "Smith"], ["said"], ["yesterday"])
@@ -136,6 +155,12 @@ class TestExtractFeatures:
         left = Candidate(["x"], ["in"], [])
         right = Candidate(["x"], [], ["in"])
         assert extract_features(left) == extract_features(right)
+
+    @given(st.builds(Candidate, st.lists(cased_tokens, min_size=1, max_size=3),
+                     st.lists(cased_tokens, max_size=3)))
+    @settings(max_examples=500, deadline=None)
+    def test_same_features_as_one_generator_per_predicate(self, candidate):
+        assert extract_features(candidate) == parent_extract_features(candidate)
 
     @given(candidates)
     @settings(max_examples=200, deadline=None)

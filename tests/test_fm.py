@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmnec import (
+    DataFormatError,
     DimensionMismatchError,
     FMModel,
     SparseVector,
     load_fm_model,
     save_fm_model,
 )
+from fmnec.fm import read_fm_model
+from fmnec.util import LineCursor
 
 from helpers import random_instance, random_model
 
@@ -240,3 +245,115 @@ class TestModelFile:
 
         with pytest.raises(DataFormatError):
             load_fm_model(path)
+
+
+# pieces of model-file values: what float() and NumPy's text parser both accept,
+# what only float() accepts (1_0, Arabic-Indic and full-width digits), what
+# neither does (#, ","), and separators str.split() knows (\x1c, \u3000, \x85)
+VALUE_PIECES = [*"0123456789+-.eE_", "inf", "nan", "\u0661", "\uff11", "\x1c", "\u3000",
+                "\x85", "#", ",", " ", "\t"]
+
+
+def expected_w(line, n):
+    """What loading a k = 0 model whose w line is ``line`` gives: float()'s
+    values, or the message of the line-by-line reader."""
+    parts = line.split()
+    if len(parts) != n:
+        return f"m.txt:4: expected {n} values for linear weights, got {len(parts)}"
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        return "m.txt:4: non-numeric value in linear weights"
+    if not all(np.isfinite(values)):
+        return f"m.txt:{4 + n}: model parameters must be finite"
+    return values
+
+
+def load_text(tmp_path, text):
+    """The loaded (w, V) of a model file, or its DataFormatError message."""
+    path = tmp_path / "m.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        model = load_fm_model(path)
+    except DataFormatError as exc:
+        return str(exc).replace(str(tmp_path) + "/", "")
+    return model.w, model.V
+
+
+class TestModelValues:
+    """The block reader parses whole blocks at once; it must give float()'s
+    bits on every file that loads and the line-by-line message on every other."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(VALUE_PIECES), max_size=14).map("".join),
+           st.one_of(st.none(), st.integers(0, 3)))
+    def test_w_line_loads_as_float_does(self, tmp_path_factory, line, n):
+        n = len(line.split()) if n is None else n
+        text = f"FMMODEL v1\n{n} 0\n0.5\n{line}\n" + "\n" * n
+        got = load_text(tmp_path_factory.mktemp("m"), text)
+        expected = expected_w(line, n)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert np.array(expected).tobytes() == got[0].tobytes()
+            assert got[1].shape == (n, 0)
+
+    @pytest.mark.parametrize("line, expected", [
+        ("1_0 2", [10.0, 2.0]),             # float() accepts it, NumPy's parser does not
+        ("\u0661 \uff12", [1.0, 2.0]),      # non-ASCII digits, likewise
+        ("1\x852", [1.0, 2.0]),             # \x85 separates values, as in str.split()
+        ("1 2#3", "m.txt:4: non-numeric value in linear weights"),  # "#" is no comment
+        ("1,2 3", "m.txt:4: non-numeric value in linear weights"),
+        (" \u3000", "m.txt:4: expected 2 values for linear weights, got 0"),
+    ])
+    def test_w_line_cases(self, tmp_path, line, expected):
+        got = load_text(tmp_path, f"FMMODEL v1\n2 0\n0.5\n{line}\n\n\n")
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[0].tolist() == expected
+
+    @pytest.mark.parametrize("rows, expected", [
+        (["1 2", "", "3 4"], "m.txt:6: expected 2 values for factor row 1, got 0"),
+        (["", "1 2", "3 4"], "m.txt:5: expected 2 values for factor row 0, got 0"),
+        (["1 2", " \t", "3 4"], "m.txt:6: expected 2 values for factor row 1, got 0"),
+        (["1 2", "3 4", "\x85"], "m.txt:7: expected 2 values for factor row 2, got 0"),
+        (["1 2", "3", "4 5"], "m.txt:6: expected 2 values for factor row 1, got 1"),
+        (["1 2", "3 x", "4 5"], "m.txt:6: non-numeric value in factor row 1"),
+        (["1 2", "3 1_0", "4 \u0661"], [[1.0, 2.0], [3.0, 10.0], [4.0, 1.0]]),
+        (["", "", ""], "m.txt:5: expected 2 values for factor row 0, got 0"),
+        (["1 2 3 4 5 6", "", ""], "m.txt:5: expected 2 values for factor row 0, got 6"),
+        (["1 2", "3 4"], "m.txt:6: unexpected end of file while reading factor row 2"),
+    ])
+    def test_factor_block_cases(self, tmp_path, rows, expected):
+        text = "FMMODEL v1\n3 2\n0\n1 2 3\n" + "".join(row + "\n" for row in rows)
+        got = load_text(tmp_path, text)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got[1].tolist() == expected
+
+    def test_empty_blocks(self, tmp_path):
+        w, V = load_text(tmp_path, "FMMODEL v1\n0 3\n0.5\n\n")
+        assert w.shape == (0,) and V.shape == (0, 3)
+        w, V = load_text(tmp_path, "FMMODEL v1\n2 0\n0.5\n1 2\n\n \t\n")
+        assert w.tolist() == [1.0, 2.0] and V.shape == (2, 0)
+
+    def test_k0_factor_line_must_be_blank(self, tmp_path):
+        got = load_text(tmp_path, "FMMODEL v1\n2 0\n0.5\n1 2\n\n5\n")
+        assert got == "m.txt:6: expected 0 values for factor row 1, got 1"
+
+    def test_carriage_return_inside_a_line(self):
+        # a file read in text mode never holds one, but a LineCursor may
+        lines = ["FMMODEL v1\n", "2 1\n", "0\n", "1\r2\n", "3\n", "4\n"]
+        model = read_fm_model(LineCursor(lines))
+        assert model.w.tolist() == [1.0, 2.0] and model.V.tolist() == [[3.0], [4.0]]
+
+    def test_written_values_are_g17(self, tmp_path):
+        rng = np.random.default_rng(11)
+        m = FMModel(0.1, rng.normal(size=4) * 1e-300, rng.normal(size=(4, 3)) * 1e300)
+        path = tmp_path / "m.txt"
+        save_fm_model(m, path)
+        lines = path.read_text().splitlines()
+        assert lines[3] == " ".join(f"{v:.17g}" for v in m.w.tolist())
+        assert lines[4:] == [" ".join(f"{v:.17g}" for v in row) for row in m.V.tolist()]

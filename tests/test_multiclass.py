@@ -335,6 +335,16 @@ def raising(exc):
     return effect
 
 
+UNPICKLABLE = lambda: 0  # noqa: E731 -- pickle cannot send a lambda
+
+
+class Needs2(Exception):
+    """Pickles, but unpickling calls ``Needs2(message)``, which fails."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
 class TestParallelTraining:
     """Labels train on one process per usable CPU; nothing observable may depend on it."""
 
@@ -433,6 +443,23 @@ class TestParallelTraining:
             train_ova(tagged(2), 12, config)
         assert "Traceback" not in capfd.readouterr().err
         assert_reaped(forks, 1)
+
+    @pytest.mark.parametrize("exc", [ValueError(UNPICKLABLE), Needs2(1, 2)],
+                             ids=["unpicklable", "not-unpicklable"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unsendable_exception_is_one_stated_error_at_any_cpu_count(self, monkeypatch, forks,
+                                                                       capfd, cpus, exc):
+        # T1 trains in the caller at 1 CPU and in the worker at 2
+        config = cfg(epochs=1)
+        patch_train_binary(monkeypatch, config, {"T1": raising(exc)}, where="anywhere")
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError) as err:
+            train_ova(tagged(3), 12, config)
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == (f"label T1: training raised {type(exc).__name__}, "
+                                  f"which cannot be sent between processes: {exc}")
+        assert "Traceback" not in capfd.readouterr().err
+        assert_reaped(forks, cpus - 1)
 
     def test_dead_worker_names_its_labels_and_exit_code(self, monkeypatch, forks, capfd):
         config = cfg(epochs=1)
