@@ -33,6 +33,7 @@ from .evaluate import (
     format_report_tsv,
     format_sweep_tsv,
     pr_curve,
+    sweep_configs,
     sweep_k,
 )
 from .features import FeatureSpace
@@ -170,10 +171,10 @@ def cmd_stats(args):
 
 def cmd_train(args):
     _check_out_dir(args.out)
+    config = _train_config(args)
     candidates = _read_candidates(args.candidates, need_gold=True)
     space = FeatureSpace.fit(candidates)
     data = [(space.vectorize_candidate(c), c.gold_tag) for c in candidates]
-    config = _train_config(args)
 
     def on_epoch(label, epoch, mean_loss):
         log.info("label %s epoch %d mean loss %.6f", label, epoch + 1, mean_loss)
@@ -250,16 +251,18 @@ def cmd_eval(args):
 
 def cmd_sweep_k(args):
     _check_out_file(args.out)
-    train_candidates = _read_candidates(args.train, need_gold=True)
-    dev_candidates = _read_candidates(args.dev, need_gold=True)
     try:
         k_values = [int(part) for part in args.k_values.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--k-values must be comma-separated integers: {args.k_values!r}") from None
+    config = _train_config(args)
+    sweep_configs(k_values, config)  # every config is checked before any input is read
+    train_candidates = _read_candidates(args.train, need_gold=True)
+    dev_candidates = _read_candidates(args.dev, need_gold=True)
     space = FeatureSpace.fit(train_candidates)
     train = [(space.vectorize_candidate(c), c.gold_tag) for c in train_candidates]
     dev = [(space.vectorize_candidate(c), c.gold_tag) for c in dev_candidates]
-    results = sweep_k(train, dev, len(space), k_values, _train_config(args))
+    results = sweep_k(train, dev, len(space), k_values, config)
     with atomic_write(args.out) as fh:
         fh.write(format_sweep_tsv(results))
     for k, f1 in results:

@@ -7,13 +7,14 @@ labels.  Degenerate 0/0 ratios are defined as 0.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import NEGATIVE_TAG
 from .errors import ConfigError
-from .multiclass import train_ova
+from .multiclass import _train_configs
 from .util import format_table
 
 
@@ -90,21 +91,24 @@ def pr_curve(scores) -> list[tuple[float, float]]:
     return list(zip(precision.tolist(), (tp / total_pos).tolist()))
 
 
-def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
-    """Dev micro-F1 per factorization dimension, other config fields fixed."""
-    # every config is built, and so checked, before the first one trains
+def sweep_configs(k_values, config) -> list:
+    """One checked ``TrainConfig`` per k value, other fields from ``config``."""
     configs = [replace(config, k=int(k)) for k in k_values]
     if not configs:
         raise ConfigError("no k values to sweep")
-    train = list(train)
+    return configs
+
+
+def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
+    """Dev micro-F1 per factorization dimension, in ``k_values`` order, other config
+    fields fixed; all (k, label) jobs train in one run, each k scored once trained."""
+    configs = sweep_configs(k_values, config)
     dev = list(dev)
     xs = [x for x, _ in dev]
     gold = [tag for _, tag in dev]
-    results = []
-    for k_config in configs:
-        model = train_ova(train, n, k_config)
-        results.append((k_config.k, evaluate(gold, model.predict_label(xs)).micro.f1))
-    return results
+    with closing(_train_configs(train, n, configs)) as models:
+        f1 = {model.k: evaluate(gold, model.predict_label(xs)).micro.f1 for model in models}
+    return [(k_config.k, f1[k_config.k]) for k_config in configs]
 
 
 def _pct(value: float) -> str:

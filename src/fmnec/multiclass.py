@@ -81,12 +81,20 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     """Train one binary machine per distinct tag: that tag versus everything else.
 
     Each label trains under a seed derived from (config.seed, label), so the
-    result is reproducible and independent of tag order in ``data``.  With W
-    usable CPUs, at most one per label, this process trains ``labels[0::W]``
-    and a forked worker each other stride; results are taken in label order.
+    result is reproducible and independent of tag order in ``data``.  Labels train
+    in parallel as in ``_train_configs``, so this process trains ``labels[0::W]``.
     ``on_epoch``, when given, receives (label, epoch index, mean loss).
     A diverging label raises ``ConfigError`` naming the label and the epoch.
     """
+    [model] = _train_configs(data, n, [config], on_epoch)
+    return model
+
+
+def _train_configs(data, n: int, configs, on_epoch=None):
+    """Yield each config's ``OvAModel`` once its labels are in.  Jobs are (config, label)
+    pairs, longest k first (stable).  With W usable CPUs, at most one per job, this process
+    trains ``jobs[0::W]`` and W - 1 workers, forked once, each other stride.  The first
+    failure in job order raises, after the ``on_epoch`` calls of every job up to it."""
     data = list(data)
     if not data:
         raise ConfigError("training data is empty")
@@ -95,30 +103,33 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
         raise ConfigError("every training instance needs a tag")
     labels = sorted(tags)
     _check_labels(labels)
-    W = _process_count(len(labels))
+    jobs = [(config, label) for config in sorted(configs, key=lambda c: -c.k) for label in labels]
+    W = _process_count(len(jobs))
     workers = []
     try:
         for w in range(1, W):
-            workers.append(_Worker(data, n, config, labels[w::W]))
-        own = iter(_train_labels(data, n, config, labels[0::W]))
+            workers.append(_Worker(data, n, jobs[w::W]))
+        own = _train_jobs(data, n, jobs[0::W])  # popped: a model the consumer drops is freed
         models = []
-        for i, label in enumerate(labels):  # the first failure in label order raises
-            calls, outcome = next(own) if i % W == 0 else workers[i % W - 1].receive()
+        for i, (_, label) in enumerate(jobs):
+            calls, outcome = own.pop(0) if i % W == 0 else workers[i % W - 1].receive()
             for args in calls if on_epoch is not None else ():
                 on_epoch(label, *args)
             if isinstance(outcome, Exception):
                 raise outcome
             models.append(outcome)
+            if len(models) == len(labels):
+                yield OvAModel(labels, models)
+                models = []
     finally:
         for worker in workers:
             worker.close()
-    return OvAModel(labels, models)
 
 
-def _train_labels(data, n: int, config: TrainConfig, labels) -> list:
-    """(``on_epoch`` arguments, model or exception) of each label, up to the first failure."""
+def _train_jobs(data, n: int, jobs) -> list:
+    """(``on_epoch`` arguments, model or exception) of each job, up to the first failure."""
     results = []
-    for label in labels:
+    for config, label in jobs:
         binary = [(x, 1 if tag == label else -1) for x, tag in data]
         label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
         calls = []
@@ -127,7 +138,7 @@ def _train_labels(data, n: int, config: TrainConfig, labels) -> list:
                                                  on_epoch=lambda *args: calls.append(args))))
         except ConfigError as exc:
             return results + [(calls, ConfigError(f"label {label}: {exc}"))]
-        except Exception as exc:  # train_ova raises it in label order, also from a worker
+        except Exception as exc:  # raised in job order, also from a worker
             try:  # one that pickle cannot send becomes one stated error, whatever W is
                 pickle.loads(pickle.dumps(exc))
             except Exception:  # unpickling runs the exception's own __init__: anything goes
@@ -137,20 +148,20 @@ def _train_labels(data, n: int, config: TrainConfig, labels) -> list:
     return results
 
 
-def _process_count(label_count: int) -> int:
-    """Processes to train on: one per usable CPU, at most one per label, and
+def _process_count(job_count: int) -> int:
+    """Processes to train on: one per usable CPU, at most one per job, and
     only this one in a multiprocessing daemon (a Pool worker), which its pool
     may end with no chance to end the daemon's own children."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     mp = sys.modules.get("multiprocessing")
-    return 1 if mp is not None and mp.current_process().daemon else min(label_count, cpus)
+    return 1 if mp is not None and mp.current_process().daemon else min(job_count, cpus)
 
 
 class _Worker:
-    """A forked process that trains ``labels``, then pickles their results into a pipe."""
+    """A forked process that trains ``jobs``, then pickles their results into a pipe."""
 
-    def __init__(self, data, n: int, config: TrainConfig, labels):
-        self.labels = labels
+    def __init__(self, data, n: int, jobs):
+        self.labels = list(dict.fromkeys(label for _, label in jobs))
         self.status = None  # the wait status, once reaped
         read_end, write_end = os.pipe()
         # Python >= 3.12 warns that forking with threads alive may deadlock the child.
@@ -164,8 +175,8 @@ class _Worker:
             code = 1
             try:
                 os.close(read_end)
-                # every label trains before the first write: a full pipe must not stall training
-                results = _train_labels(data, n, config, labels)
+                # every job trains before the first write: a full pipe must not stall training
+                results = _train_jobs(data, n, jobs)
                 with open(write_end, "wb") as out:
                     for result in results:
                         pickle.dump(result, out)

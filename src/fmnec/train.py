@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, SparseVector, _check_dimension, _finite_parameters
+from .fm import FMModel, _check_dimension, _finite_parameters
 from .util import derive_seed
 
 LOSS_KINDS = ("hinge", "logistic")
@@ -110,35 +110,40 @@ def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
     return -margin + math.log1p(e), -float(y) / (1.0 + e)
 
 
-def _step(model: FMModel, x: SparseVector, y: int, config: TrainConfig, binary: bool) -> float:
-    """One in-place SGD update on an instance and label already checked
-    against ``model.n`` and the label rule; returns the pre-update loss.
-    With ``binary`` (every value 1.0) the products by 1.0 are exact and skipped,
-    and every reduction keeps its operands and order, so the bits stay the same."""
-    idx = x.indices
-    vals = x.values
-    w_act = model.w[idx]
-    score = model.w0 + float(w_act @ vals)
-    if model.k:  # k = 0 (sweep-k's linear baseline) has no factor work to do
-        V_act = model.V.take(idx, axis=0)
-        scaled = V_act if binary else V_act * vals[:, None]
-        per_factor = scaled.sum(axis=0)
-        if idx.size > 1:  # a lone feature's interaction stays exactly 0, as in _Batch
-            score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
-
-    loss, g = _loss_and_slope(config.loss, score, y)
-    lr = config.learning_rate
-
-    model.w0 -= lr * g
-    model.w[idx] = w_act - lr * ((g if binary else g * vals) + config.reg_w * w_act)
-    if model.k:
-        if g != 0.0:  # hinge past the margin has g = 0: only the decay term is left
-            grad = (per_factor - V_act if binary
-                    else vals[:, None] * per_factor[None, :] - scaled * vals[:, None])
-            model.V[idx] = V_act - lr * (g * grad + config.reg_v * V_act)
-        elif config.reg_v != 0.0:
-            model.V[idx] = V_act - lr * (config.reg_v * V_act)
-    return loss
+def _epoch(model: FMModel, data, order, config: TrainConfig, binary: bool) -> float:
+    """SGD updates on the pairs ``data[t]``, ``t`` in ``order``, checked against ``model.n``
+    and the label rule; returns the sum of the pre-update losses.  ``binary`` (all values
+    1.0) skips the exact products by 1.0.  In place or not, every update keeps the module
+    docstring's operands, order and reductions (``a.dot(b)`` is ``a @ b``): same bits."""
+    w, V, w0, k = model.w, model.V, model.w0, model.k
+    lr, reg_w, reg_v, loss_kind = config.learning_rate, config.reg_w, config.reg_v, config.loss
+    total = 0.0
+    for t in order:
+        x, y = data[t]
+        idx, vals = x.indices, x.values
+        w_act = w[idx]
+        score = w0 + float(w_act.dot(vals))
+        if k:  # k = 0 (sweep-k's linear baseline) has no factor work to do
+            V_act = V.take(idx, axis=0)
+            scaled = V_act if binary else V_act * vals[:, None]
+            per_factor = np.add.reduce(scaled, 0)
+            if idx.size > 1:  # a lone feature's interaction stays exactly 0, as in _Batch
+                score += 0.5 * (float(per_factor.dot(per_factor))
+                                - float(np.add.reduce(scaled * scaled, None)))
+        loss, g = _loss_and_slope(loss_kind, score, y)
+        total += loss
+        w0 -= lr * g
+        w[idx] = w_act - lr * ((g if binary else g * vals) + reg_w * w_act)
+        if k and (g != 0.0 or reg_v != 0.0):  # hinge past the margin has g = 0: decay only
+            step = reg_v * V_act
+            if g != 0.0:
+                grad = (np.subtract(per_factor, V_act) if binary
+                        else vals[:, None] * per_factor[None, :] - scaled * vals[:, None])
+                np.add(step, np.multiply(grad, g, grad), step)
+            np.multiply(step, lr, step)
+            V[idx] = np.subtract(V_act, step, step)
+    model.w0 = w0
+    return total
 
 
 def sgd_step(model: FMModel, inst, config: TrainConfig) -> FMModel:
@@ -146,7 +151,7 @@ def sgd_step(model: FMModel, inst, config: TrainConfig) -> FMModel:
     x, y = inst
     _check_label(y)
     _check_dimension(int(x.indices[-1]) if x.nnz else -1, model.n)
-    _step(model, x, y, config, bool((x.values == 1.0).all()))
+    _epoch(model, (inst,), (0,), config, bool((x.values == 1.0).all()))
     return model
 
 
@@ -165,21 +170,18 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
         raise ConfigError("training data is empty")
     for _, y in data:
         _check_label(y)
-    _check_dimension(max((int(x.indices[-1]) for x, _ in data if x.nnz), default=-1), n)
-
-    # chunks of 256 vectors keep the temporary too small to raise peak RSS
-    binary = all((np.concatenate([x.values for x, _ in data[i : i + 256]]) == 1.0).all()
-                 for i in range(0, len(data), 256))
+    # chunks of 256 vectors keep the temporaries too small to raise peak RSS
+    chunks = [data[i : i + 256] for i in range(0, len(data), 256)]
+    _check_dimension(max(int(np.concatenate([x.indices for x, _ in c]).max(initial=-1))
+                         for c in chunks), n)
+    binary = all((np.concatenate([x.values for x, _ in c]) == 1.0).all() for c in chunks)
     model = init_model(n, config)
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     # a diverging run overflows inside numpy; the finiteness check below
     # reports it as a ConfigError instead of a stream of RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            total = 0.0
-            for t in rng.permutation(len(data)):
-                total += _step(model, *data[t], config, binary)
-            mean_loss = total / len(data)
+            mean_loss = _epoch(model, data, rng.permutation(len(data)), config, binary) / len(data)
             if not (math.isfinite(mean_loss) and _finite_parameters(model.w0, model.w, model.V)):
                 raise ConfigError(
                     f"training diverged at epoch {epoch + 1}: the mean loss ({mean_loss}) "

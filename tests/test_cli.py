@@ -355,6 +355,26 @@ def test_unallocatable_k_is_config_error(pipeline, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--lr", "-1"], "learning_rate must be finite and positive"),
+    ("sweep-k", ["--lr", "-1"], "learning_rate must be finite and positive"),
+    ("sweep-k", ["--k-values", "x"], "--k-values must be comma-separated integers: 'x'"),
+    ("sweep-k", ["--k-values", "-1"], "k must be >= 0"),
+    ("sweep-k", ["--k-values", ","], "no k values to sweep"),
+])
+def test_bad_config_is_reported_before_any_input_is_read(tmp_path, command, flags, message):
+    # the inputs do not exist: reading them first would report that instead
+    missing = str(tmp_path / "missing.tsv")
+    if command == "train":
+        argv = ["train", "--candidates", missing, "--out", str(tmp_path / "m")]
+    else:
+        argv = ["sweep-k", "--train", missing, "--dev", missing, "--k-values", "0,2",
+                "--out", str(tmp_path / "k.tsv")]
+    result = _run_cli(*argv, *flags)
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_growing_decay_is_config_error(pipeline, tmp_path):
     # lr * reg = 500: each decay step would scale the touched weights by -499
     out = tmp_path / "m"

@@ -19,6 +19,7 @@ from fmnec import (
     TrainConfig,
     load_ova_model,
     save_ova_model,
+    sweep_k,
     train_ova,
 )
 
@@ -301,6 +302,21 @@ def train_recorded(data, n, config):
     return [(m.w0, m.w.tobytes(), m.V.tobytes()) for m in model.models], calls
 
 
+def sweep_recorded(monkeypatch, data, dev, n, k_values, config):
+    """sweep_k's results, and (k, parameter bytes) of every model in the order it was scored."""
+    scored = []
+    real = OvAModel.predict_label
+
+    def predict_label(model, xs):
+        scored.append((model.k, [(m.w0, m.w.tobytes(), m.V.tobytes()) for m in model.models]))
+        return real(model, xs)
+
+    monkeypatch.setattr(OvAModel, "predict_label", predict_label)
+    results = sweep_k(data, dev, n, k_values, config)
+    monkeypatch.setattr(OvAModel, "predict_label", real)
+    return results, scored
+
+
 def patch_train_binary(monkeypatch, config, effects, where="worker"):
     """Run ``effects[label](on_epoch)`` before training that label ``where``
     ("caller", "worker" or "anywhere"); record the labels the caller trains."""
@@ -394,6 +410,37 @@ class TestParallelTraining:
         usable_cpus(monkeypatch, 2)
         train_ova(tagged(5), 12, config)
         assert trained_here == ["T0", "T2", "T4"]
+
+    @pytest.mark.parametrize("k_values", [[0, 5, 16], [16, 0], [5, 5]])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_sweep_same_models_and_results_as_one_cpu(self, monkeypatch, forks, cpus, k_values):
+        data, dev = tagged(3, size=60), tagged(3, size=30, seed=1)
+        config = cfg(epochs=2, reg_w=1e-3, reg_v=1e-3)
+        usable_cpus(monkeypatch, 1)
+        per_k = {k: train_recorded(data, 12, cfg(k=k, epochs=2, reg_w=1e-3, reg_v=1e-3))[0]
+                 for k in k_values}
+        serial = sweep_recorded(monkeypatch, data, dev, 12, k_values, config)
+        usable_cpus(monkeypatch, cpus)
+        results, scored = sweep_recorded(monkeypatch, data, dev, 12, k_values, config)
+        assert (results, scored) == serial
+        assert [k for k, _ in results] == k_values
+        # longest k first, each model scored as soon as its labels are in
+        assert scored == [(k, per_k[k]) for k in sorted(k_values, reverse=True)]
+        assert_reaped(forks, min(cpus, 3 * len(k_values)) - 1)  # one fork per worker, not per k
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_diverging_sweep_same_error_as_one_cpu(self, monkeypatch, forks, cpus):
+        config = TrainConfig(k=2, learning_rate=1e200, loss="logistic", reg_w=0, reg_v=0, epochs=3)
+        data = make_xor_tagged(10, 1)
+        errors = []
+        for count in (1, cpus):
+            usable_cpus(monkeypatch, count)
+            with np.errstate(all="ignore"), pytest.raises(ConfigError) as err:
+                sweep_k(data, data, 2, [0, 2], config)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("label ENT: training diverged at epoch 1")
+        assert_reaped(forks, min(cpus, 4) - 1)
 
     @pytest.mark.parametrize("serial", ["one cpu", "one label", "no sched_getaffinity"])
     def test_serial_cases_start_no_process(self, monkeypatch, serial):

@@ -14,6 +14,7 @@ from fmnec import (
     sgd_step,
     train_binary,
 )
+from fmnec.train import _loss_and_slope
 from fmnec.util import derive_seed
 
 from helpers import accuracy, make_xor_tagged, random_instance, random_model, xor_clean_instances
@@ -23,6 +24,27 @@ def cfg(**kwargs):
     defaults = dict(k=2, learning_rate=0.1, reg_w=0.0, reg_v=0.0, epochs=1, init_sd=0.1, seed=0)
     defaults.update(kwargs)
     return TrainConfig(**defaults)
+
+
+def reference_step(model, x, y, config):
+    """The update of the ``fmnec.train`` docstring, one allocating expression per
+    parameter group, with no shortcut for binary instances: the bits training must give."""
+    idx, vals = x.indices, x.values
+    w_act, V_act = model.w[idx], model.V[idx]
+    scaled = V_act * vals[:, None]
+    per_factor = scaled.sum(axis=0)
+    score = model.w0 + float(w_act @ vals)
+    if model.k and idx.size > 1:
+        score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
+    _, g = _loss_and_slope(config.loss, score, y)
+    lr = config.learning_rate
+    model.w0 -= lr * g
+    model.w[idx] = w_act - lr * (g * vals + config.reg_w * w_act)
+    grad = vals[:, None] * per_factor[None, :] - scaled * vals[:, None]
+    if g != 0.0:
+        model.V[idx] = V_act - lr * (g * grad + config.reg_v * V_act)
+    elif config.reg_v != 0.0:
+        model.V[idx] = V_act - lr * (config.reg_v * V_act)
 
 
 class TestTrainConfig:
@@ -149,6 +171,24 @@ class TestSgdStep:
         untouched = [i for i in range(12) if i not in (2, 7)]
         assert np.array_equal(m.w[untouched], before.w[untouched])
         assert np.array_equal(m.V[untouched], before.V[untouched])
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["real", "binary"])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("k", [0, 1, 5])
+    @pytest.mark.parametrize("reg", [0.0, 1e-2])
+    def test_bits_match_the_reference_update(self, binary, loss, k, reg):
+        rng = np.random.default_rng(11)
+        config = cfg(k=k, loss=loss, reg_w=reg, reg_v=reg, learning_rate=0.3)
+        model = random_model(rng, 12, k)
+        expected = model.copy()
+        for _ in range(60):
+            x = random_instance(rng, 12, 7, binary=binary)
+            y = int(rng.choice([-1, 1]))
+            sgd_step(model, (x, y), config)
+            reference_step(expected, x, y, config)
+        assert np.float64(model.w0).tobytes() == np.float64(expected.w0).tobytes()
+        assert model.w.tobytes() == expected.w.tobytes()
+        assert model.V.tobytes() == expected.V.tobytes()
 
     def test_dimension_mismatch(self):
         m = FMModel(0.0, [0.0], [[0.0]])
@@ -310,6 +350,14 @@ class TestTrainBinary:
     def test_out_of_range_index_rejected(self):
         data = [(SparseVector([9], [1.0]), 1)]
         with pytest.raises(DimensionMismatchError):
+            train_binary(data, 3, cfg())
+
+    def test_out_of_range_index_in_the_last_chunk_rejected(self):
+        # the checks read 256 vectors at a time; the largest index is reported
+        data = [(SparseVector([i % 3], [1.0]), 1) for i in range(300)]
+        data[10] = (SparseVector([1, 5], [1.0, 1.0]), -1)
+        data[-1] = (SparseVector([2, 7], [1.0, 2.0]), -1)
+        with pytest.raises(DimensionMismatchError, match="^feature index 7 out of range for n=3$"):
             train_binary(data, 3, cfg())
 
     def test_divergent_loss_raises(self):
