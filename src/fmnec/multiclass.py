@@ -81,8 +81,8 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     """Train one binary machine per distinct tag: that tag versus everything else.
 
     Each label trains under a seed derived from (config.seed, label), so the
-    result is reproducible and independent of tag order in ``data``.  Labels train
-    in parallel as in ``_train_configs``, so this process trains ``labels[0::W]``.
+    result is reproducible and independent of tag order in ``data``.  With W usable
+    CPUs, at most one per label, this process trains ``labels[0::W]`` (``_train_configs``).
     ``on_epoch``, when given, receives (label, epoch index, mean loss).
     A diverging label raises ``ConfigError`` naming the label and the epoch.
     """

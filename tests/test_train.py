@@ -196,7 +196,7 @@ class TestSgdStep:
             sgd_step(m, (SparseVector([5], [1.0]), 1), cfg())
 
     # each check runs on real values and on binary instances (all values 1.0),
-    # which take _step's branch without the products by the values
+    # which take the trainer's branch without the products by the values
     def test_gradients_match_finite_differences(self):
         # analytic gradient recovered from the parameter delta at lr=1, no decay
         step_cfg = cfg(k=3, learning_rate=1.0)
