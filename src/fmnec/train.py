@@ -137,7 +137,7 @@ def _epoch(model: FMModel, data, order, config: TrainConfig, binary: bool) -> fl
         if k and (g != 0.0 or reg_v != 0.0):  # hinge past the margin has g = 0: decay only
             step = reg_v * V_act
             if g != 0.0:
-                grad = (np.subtract(per_factor, V_act) if binary
+                grad = (per_factor - V_act if binary
                         else vals[:, None] * per_factor[None, :] - scaled * vals[:, None])
                 np.add(step, np.multiply(grad, g, grad), step)
             np.multiply(step, lr, step)
