@@ -58,9 +58,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_train_flags(sp):
-    sp.add_argument("--k", type=int, default=TrainConfig.k,
-                    help="factorization dimension (0 = linear)")
+def _add_train_flags(sp, sweep=False):
+    if sweep:  # declared, so argparse cannot take --k for an abbreviation of --k-values
+        sp.add_argument("--k", help="not taken: --k-values sets k")
+    else:
+        sp.add_argument("--k", type=int, default=TrainConfig.k,
+                        help="factorization dimension (0 = linear)")
     sp.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
                     help="SGD learning rate")
     sp.add_argument("--reg-w", type=float, default=TrainConfig.reg_w,
@@ -74,9 +77,9 @@ def _add_train_flags(sp):
     sp.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss)
 
 
-def _train_config(args) -> TrainConfig:
+def _train_config(args, k) -> TrainConfig:
     return TrainConfig(
-        k=args.k,
+        k=k,
         learning_rate=args.lr,
         reg_w=args.reg_w,
         reg_v=args.reg_v,
@@ -128,9 +131,9 @@ def _load_model_and_space(args):
     return model, space
 
 
-def _score(model, space, candidates):
-    """Raw score matrix (candidates x labels) of the candidates."""
-    return model.predict_scores([space.vectorize_candidate(c) for c in candidates])
+def _vectorized(space, candidates):
+    """The candidates' vectors and gold tags: all a command keeps of its candidates."""
+    return [space.vectorize_candidate(c) for c in candidates], [c.gold_tag for c in candidates]
 
 
 def cmd_prepare(args):
@@ -171,10 +174,11 @@ def cmd_stats(args):
 
 def cmd_train(args):
     _check_out_dir(args.out)
-    config = _train_config(args)
+    config = _train_config(args, args.k)
     candidates = _read_candidates(args.candidates, need_gold=True)
     space = FeatureSpace.fit(candidates)
-    data = [(space.vectorize_candidate(c), c.gold_tag) for c in candidates]
+    data = list(zip(*_vectorized(space, candidates)))
+    del candidates
 
     def on_epoch(label, epoch, mean_loss):
         log.info("label %s epoch %d mean loss %.6f", label, epoch + 1, mean_loss)
@@ -192,16 +196,16 @@ def cmd_train(args):
 def cmd_predict(args):
     _check_out_file(args.out)
     model, space = _load_model_and_space(args)
-    candidates = _read_candidates(args.candidates)
-    scores = _score(model, space, candidates)
+    xs, gold = _vectorized(space, _read_candidates(args.candidates))
+    scores = model.predict_scores(xs)
     preds = model.best_labels(scores)
     # "%.17g" % v is format_g17(v); one format per row, not one per value
     row = "%s\t%s" + "\t%.17g" * len(model.labels) + "\n"
     with atomic_write(args.out) as fh:
         fh.write("# pred\tgold\t" + "\t".join(model.labels) + "\n")
         fh.writelines(
-            row % (pred, candidate.gold_tag or "", *values)
-            for pred, candidate, values in zip(preds, candidates, scores.tolist())
+            row % (pred, tag or "", *values)
+            for pred, tag, values in zip(preds, gold, scores.tolist())
         )
     return 0
 
@@ -227,9 +231,8 @@ def _pr_curve_files(model, gold, scores) -> dict[str, str]:
 def cmd_eval(args):
     _check_out_dir(args.out)
     model, space = _load_model_and_space(args)
-    candidates = _read_candidates(args.candidates, need_gold=True)
-    gold = [c.gold_tag for c in candidates]
-    scores = _score(model, space, candidates)
+    xs, gold = _vectorized(space, _read_candidates(args.candidates, need_gold=True))
+    scores = model.predict_scores(xs)
     report = evaluate(gold, model.best_labels(scores))
     # every output is built before the first file is written, so a failing
     # eval leaves no outputs behind
@@ -251,17 +254,19 @@ def cmd_eval(args):
 
 def cmd_sweep_k(args):
     _check_out_file(args.out)
+    if args.k is not None:
+        raise ConfigError("sweep-k takes no --k: --k-values sets k")
     try:
         k_values = [int(part) for part in args.k_values.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--k-values must be comma-separated integers: {args.k_values!r}") from None
-    config = _train_config(args)
+    config = _train_config(args, TrainConfig.k)
     sweep_configs(k_values, config)  # every config is checked before any input is read
-    train_candidates = _read_candidates(args.train, need_gold=True)
-    dev_candidates = _read_candidates(args.dev, need_gold=True)
-    space = FeatureSpace.fit(train_candidates)
-    train = [(space.vectorize_candidate(c), c.gold_tag) for c in train_candidates]
-    dev = [(space.vectorize_candidate(c), c.gold_tag) for c in dev_candidates]
+    candidates = _read_candidates(args.train, need_gold=True)
+    space = FeatureSpace.fit(candidates)
+    train = list(zip(*_vectorized(space, candidates)))
+    del candidates
+    dev = list(zip(*_vectorized(space, _read_candidates(args.dev, need_gold=True))))
     results = sweep_k(train, dev, len(space), k_values, config)
     with atomic_write(args.out) as fh:
         fh.write(format_sweep_tsv(results))
@@ -317,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep-k", help="train per k value and report dev micro-F1")
     sp.add_argument("--train", required=True, help="training candidates TSV")
     sp.add_argument("--dev", required=True, help="development candidates TSV")
-    sp.add_argument("--k-values", required=True, help="comma-separated k values, e.g. 0,1,2,5,8")
-    _add_train_flags(sp)
+    sp.add_argument("--k-values", required=True,
+                    help="comma-separated distinct k values, e.g. 0,1,2,5,8")
+    _add_train_flags(sp, sweep=True)
     sp.add_argument("--out", required=True, help="output two-column TSV")
     sp.set_defaults(func=cmd_sweep_k)
 

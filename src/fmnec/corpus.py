@@ -49,14 +49,19 @@ def repair_bio(tags) -> list[str]:
 
 
 def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[Sentence]:
-    """Read sentences from a whitespace-column token file, repairing BIO tags."""
+    """Read sentences from a whitespace-column token file, repairing BIO tags.
+
+    Equal tokens and equal tags are one ``str`` object each: a corpus
+    repeats a few thousand distinct strings a hundred thousand times.
+    """
     sentences: list[Sentence] = []
     current: list[tuple[str, str]] = []
+    shared = {}.setdefault
 
     def flush():
         if current:
             words = [word for word, _ in current]
-            tags = repair_bio(tag for _, tag in current)
+            tags = (shared(tag, tag) for tag in repair_bio(tag for _, tag in current))
             sentences.append(Sentence(list(zip(words, tags))))
             current.clear()
 
@@ -81,7 +86,8 @@ def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[
                 raise DataFormatError(
                     f"BIO tag {tag!r} has no entity type", path=str(path), line=lineno
                 )
-            current.append((cols[token_column], tag))
+            word = cols[token_column]
+            current.append((shared(word, word), tag))
     flush()
     return sentences
 
@@ -94,9 +100,14 @@ def extract_candidates(sentences) -> list[Candidate]:
     on each side of the span.
     """
     out = []
+    shared = {}.setdefault  # one str per entity type, not one per span
     for sentence in sentences:
         words = sentence.words
         tags = repair_bio(sentence.tags)
+        # every sentence parse_column_file makes passes, so its candidates need
+        # no check; one built by hand that fails gets the public constructor's error
+        trusted = "B-" not in tags and first_bad_token(words + tags) is None
+        build = Candidate._unchecked if trusted else Candidate
         pos = 0
         while pos < len(words):
             tag = tags[pos]
@@ -104,13 +115,12 @@ def extract_candidates(sentences) -> list[Candidate]:
                 end = pos + 1
                 while end < len(words) and tags[end] == "I-" + tag[2:]:
                     end += 1
-                out.append(Candidate(words[pos:end], words[:pos], words[end:], tag[2:]))
+                label = tag[2:]
+                out.append(build(words[pos:end], words[:pos], words[end:], shared(label, label)))
                 pos = end
             else:
                 if words[pos][0].isupper():
-                    out.append(
-                        Candidate([words[pos]], words[:pos], words[pos + 1 :], NEGATIVE_TAG)
-                    )
+                    out.append(build((words[pos],), words[:pos], words[pos + 1 :], NEGATIVE_TAG))
                 pos += 1
     return out
 
@@ -187,7 +197,13 @@ def write_candidates_tsv(path, candidates) -> None:
 
 
 def read_candidates_tsv(path) -> list[Candidate]:
+    """Candidates of an interchange file; equal tokens and tags are one ``str`` each."""
     out = []
+    shared = {}.setdefault
+
+    def tokens_of(text):
+        words = text.split()
+        return tuple(map(shared, words, words))
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip("\n")
@@ -201,12 +217,13 @@ def read_candidates_tsv(path) -> list[Candidate]:
                     line=lineno,
                 )
             tag, span, left, right = parts
-            tokens = span.split()
+            tokens = tokens_of(span)
             # split() tokens meet the token rule: only an empty span or a bad tag needs the check
             trusted = tokens and (not tag or first_bad_token((tag,)) is None)
             try:
                 build = Candidate._unchecked if trusted else Candidate
-                out.append(build(tokens, left.split(), right.split(), tag or None))
+                out.append(build(tokens, tokens_of(left), tokens_of(right),
+                                 shared(tag, tag) if tag else None))
             except ValueError as exc:
                 raise DataFormatError(str(exc), path=str(path), line=lineno) from None
     return out

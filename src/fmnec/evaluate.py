@@ -92,10 +92,16 @@ def pr_curve(scores) -> list[tuple[float, float]]:
 
 
 def sweep_configs(k_values, config) -> list:
-    """One checked ``TrainConfig`` per k value, other fields from ``config``."""
+    """One checked ``TrainConfig`` per k value, other fields from ``config``; a k
+    may appear once."""
     configs = [replace(config, k=int(k)) for k in k_values]
     if not configs:
         raise ConfigError("no k values to sweep")
+    seen = set()
+    for k_config in configs:
+        if k_config.k in seen:
+            raise ConfigError(f"k={k_config.k} appears twice in the k values")
+        seen.add(k_config.k)
     return configs
 
 

@@ -67,21 +67,29 @@ def extract_features(candidate: Candidate) -> set[str]:
     """Feature names for one candidate (a set, so order never matters)."""
     feats = {f"ctx={token}" for token in candidate.left_context}
     feats.update(f"ctx={token}" for token in candidate.right_context)
-    chars = "".join(candidate.span_tokens)
-    feats.add(f"cap={int(candidate.span_tokens[0][0].isupper())}")
-    upper = all(map(str.isupper, chars))
-    feats.add(f"all-low={int(all(map(str.islower, chars)))}")
-    feats.add(f"all-cap1={int(upper)}")
-    feats.add(f"all-cap2={int(upper or all(map(str.isupper, chars.replace('.', ''))))}")
-    count = len(candidate.span_tokens)
-    if count == 1:
-        feats.add("num-tokens=1")
-    elif count == 2:
-        feats.add("num-tokens=2")
-    else:
-        feats.add("num-tokens>2")
-    feats.add("dummy")
+    feats.update(_shape_names(_shape(candidate.span_tokens)))
     return feats
+
+
+def _shape(span_tokens) -> tuple[bool, bool, bool, bool, int]:
+    """The span predicates: cap, all-low, all-cap1, all-cap2 and the token count, 3 for > 2."""
+    chars = "".join(span_tokens)
+    upper = all(map(str.isupper, chars))
+    return (
+        span_tokens[0][0].isupper(),
+        all(map(str.islower, chars)),
+        upper,
+        upper or all(map(str.isupper, chars.replace(".", ""))),
+        min(len(span_tokens), 3),
+    )
+
+
+def _shape_names(shape) -> tuple[str, ...]:
+    """The names of a ``_shape`` tuple, ``dummy`` included."""
+    cap, low, cap1, cap2, count = shape
+    return (f"cap={int(cap)}", f"all-low={int(low)}", f"all-cap1={int(cap1)}",
+            f"all-cap2={int(cap2)}", ("num-tokens=1", "num-tokens=2", "num-tokens>2")[count - 1],
+            "dummy")
 
 
 class FeatureSpace:
@@ -96,6 +104,7 @@ class FeatureSpace:
         self.index_to_name = names
         self._ones = np.ones(len(names))  # every vector's values are a slice of it
         self._ones.setflags(write=False)
+        self._shape_indices = {}  # _shape tuple -> indices of its known names
 
     @classmethod
     def fit(cls, candidates) -> "FeatureSpace":
@@ -104,24 +113,43 @@ class FeatureSpace:
         Indices are assigned in lexicographic name order, so fitting is
         reproducible regardless of candidate order.
         """
-        candidates = list(candidates)
-        if not candidates:
-            raise ConfigError("cannot fit a feature space on zero candidates")
-        names = set()
+        tokens = set()
+        shapes = set()
         for candidate in candidates:
-            names.update(extract_features(candidate))
+            tokens.update(candidate.left_context)
+            tokens.update(candidate.right_context)
+            shapes.add(_shape(candidate.span_tokens))
+        if not shapes:
+            raise ConfigError("cannot fit a feature space on zero candidates")
+        # extract_features' names, collected as their parts
+        names = set(map("ctx=".__add__, tokens))
+        for shape in shapes:
+            names.update(_shape_names(shape))
         return cls(sorted(names))
 
     def vectorize(self, names) -> SparseVector:
         """Binary vector over the known names; unknown names are silently dropped."""
         index = self.name_to_index
-        # distinct indices in [0, len(self)), sorted here, and every value is
-        # 1.0: the vector's invariants hold by construction
-        idx = np.array(sorted({index[nm] for nm in names if nm in index}), dtype=np.int64)
-        return SparseVector._unchecked(idx, self._ones[: idx.size])
+        return self._vector({index[nm] for nm in names if nm in index})
 
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
-        return self.vectorize(extract_features(candidate))
+        """``vectorize(extract_features(candidate))``, looked up by token."""
+        get = self.name_to_index.get
+        found = set(map(get, map("ctx=".__add__, candidate.left_context)))
+        found.update(map(get, map("ctx=".__add__, candidate.right_context)))
+        shape = _shape(candidate.span_tokens)
+        known = self._shape_indices.get(shape)
+        if known is None:
+            known = self._shape_indices[shape] = [get(name) for name in _shape_names(shape)]
+        found.update(known)
+        found.discard(None)  # the unknown names
+        return self._vector(found)
+
+    def _vector(self, indices) -> SparseVector:
+        # distinct indices in [0, len(self)), sorted here, and every value is
+        # 1.0: the vector's invariants hold by construction
+        idx = np.array(sorted(indices), dtype=np.int64)
+        return SparseVector._unchecked(idx, self._ones[: idx.size])
 
     def __len__(self) -> int:
         return len(self.index_to_name)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DataFormatError, DimensionMismatchError
 from .util import LineCursor, atomic_write, format_g17, open_text
 
 MODEL_FORMAT_HEADER = "FMMODEL v1"
@@ -272,8 +272,9 @@ def _take_block(cursor: LineCursor, what: str, rows: int, count: int) -> np.ndar
     One ``np.loadtxt`` parses the block; it gives ``float``'s bits on every
     token it accepts, but rejects some ``float`` accepts (``1_0``, non-ASCII
     digits) and skips blank lines.  A rejected or misshapen block is read again
-    line by line with ``float``, which names a bad line.  An all-blank block
-    never reaches loadtxt: it is the empty block (no rows, or k = 0) or an error.
+    line by line with ``float`` from its own lines, which names a bad line.  An
+    all-blank block never reaches loadtxt: it is the empty block (no rows, or
+    k = 0) or an error.
     """
     start = cursor.lineno
     lines = cursor.take_lines(rows)
@@ -288,9 +289,10 @@ def _take_block(cursor: LineCursor, what: str, rows: int, count: int) -> np.ndar
                     return values.reshape(-1)
             except ValueError:
                 pass
-    cursor.lineno = start
+    # a short block ends the file, so the block's own lines end where the file does
+    block = LineCursor(lines, cursor.path, start)
     return np.array(
-        [v for i in range(rows) for v in _take_floats(cursor, what.format(i), count)]
+        [v for i in range(rows) for v in _take_floats(block, what.format(i), count)]
     )
 
 
@@ -314,10 +316,20 @@ def load_fm_model(path) -> FMModel:
 
 
 def _load_model_file(path, read_block):
-    """The one block ``read_block`` parses from the whole file; nothing may follow it."""
+    """The one block ``read_block`` parses from the file; nothing may follow it.
+
+    The file is parsed as it is read, so a load holds one block of text at a
+    time.  An undecodable line anywhere in the file is still the error reported,
+    ahead of any parse error, as if the whole file had been decoded first.
+    """
     with open_text(path) as fh:
-        cursor = LineCursor(fh.readlines(), path=str(path))
-    model = read_block(cursor)
-    if not cursor.at_end():
-        raise cursor.error("trailing content after model block")
+        cursor = LineCursor(fh, path=str(path))
+        try:
+            model = read_block(cursor)
+            if not cursor.at_end():
+                raise cursor.error("trailing content after model block")
+        except DataFormatError:
+            for _ in fh:  # a decode error in the rest of the file takes precedence
+                pass
+            raise
     return model

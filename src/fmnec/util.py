@@ -6,6 +6,7 @@ import hashlib
 import os
 import secrets
 from contextlib import contextmanager
+from itertools import islice
 
 from .errors import DataFormatError
 
@@ -100,28 +101,32 @@ def _first_undecodable_line(path) -> int | None:
 
 
 class LineCursor:
-    """Sequential view over file lines that tracks position for error messages."""
+    """Sequential view over lines (a list, an open file or any iterable) that
+    tracks position for error messages; it holds no line it has handed out."""
 
-    def __init__(self, lines, path=None):
-        self._lines = lines
+    def __init__(self, lines, path=None, lineno: int = 0):
+        self._lines = iter(lines)
+        self._next = next(self._lines, None)  # None at the end
         self.path = path
-        self.lineno = 0  # 1-based number of the last line handed out
+        self.lineno = lineno  # 1-based number of the last line handed out
 
     def take(self, what: str) -> str:
-        if self.lineno >= len(self._lines):
+        lines = self.take_lines(1)
+        if not lines:
             raise self.error(f"unexpected end of file while reading {what}")
-        line = self._lines[self.lineno]
-        self.lineno += 1
-        return line.rstrip("\n")
+        return lines[0].rstrip("\n")
 
     def take_lines(self, count: int) -> list[str]:
         """The next ``count`` lines unstripped, fewer only at the end of the file."""
-        lines = self._lines[self.lineno : self.lineno + count]
+        if count <= 0 or self._next is None:
+            return []
+        lines = [self._next, *islice(self._lines, count - 1)]
+        self._next = next(self._lines, None)
         self.lineno += len(lines)
         return lines
 
     def at_end(self) -> bool:
-        return self.lineno >= len(self._lines)
+        return self._next is None
 
     def error(self, message: str) -> DataFormatError:
         return DataFormatError(message, path=self.path, line=self.lineno or None)

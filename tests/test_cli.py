@@ -361,6 +361,10 @@ def test_unallocatable_k_is_config_error(pipeline, tmp_path, command):
     ("sweep-k", ["--k-values", "x"], "--k-values must be comma-separated integers: 'x'"),
     ("sweep-k", ["--k-values", "-1"], "k must be >= 0"),
     ("sweep-k", ["--k-values", ","], "no k values to sweep"),
+    ("sweep-k", ["--k-values", "5,0,5"], "k=5 appears twice in the k values"),
+    # --k is not an abbreviation of --k-values, and no value of it is taken
+    ("sweep-k", ["--k", "5"], "sweep-k takes no --k: --k-values sets k"),
+    ("sweep-k", ["--k=-5"], "sweep-k takes no --k: --k-values sets k"),
 ])
 def test_bad_config_is_reported_before_any_input_is_read(tmp_path, command, flags, message):
     # the inputs do not exist: reading them first would report that instead

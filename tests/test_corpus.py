@@ -263,3 +263,70 @@ class TestCandidatesTsv:
         path.write_text("PER\t\tl\tr\n")
         with pytest.raises(DataFormatError):
             read_candidates_tsv(path)
+
+
+def assert_one_object_per_value(strings):
+    first = {}
+    for s in strings:
+        assert first.setdefault(s, s) is s, s
+
+
+class TestSharedStrings:
+    """The readers keep one str object per distinct token and tag."""
+
+    TEXT = (
+        "-DOCSTART- -X- -X- O\n\n"
+        "Maria NNP B-NP B-PER\nKoch NNP I-NP I-PER\nvisited VBD B-VP O\nBerlin NNP B-NP B-LOC\n\n"
+        "Berlin NNP B-NP I-LOC\nwelcomed VBD B-VP O\nMaria NNP B-NP B-PER\nKoch NNP I-NP I-PER\n\n"
+    )
+
+    def test_parse_column_file(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(self.TEXT)
+        sentences = parse_column_file(path)
+        pairs = [pair for sentence in sentences for pair in sentence.tokens]
+        assert_one_object_per_value(word for word, _ in pairs)
+        # "I-LOC" at the start of a sentence is promoted to a new "B-LOC" string
+        assert [tag for _, tag in pairs].count("B-LOC") == 2
+        assert_one_object_per_value(tag for _, tag in pairs)
+
+    def test_extract_candidates(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_text(self.TEXT)
+        candidates = extract_candidates(parse_column_file(path))
+        assert [c.gold_tag for c in candidates] == ["PER", "LOC", "LOC", "PER"]
+        assert_one_object_per_value(c.gold_tag for c in candidates)
+        assert_one_object_per_value(
+            token for c in candidates
+            for token in (*c.span_tokens, *c.left_context, *c.right_context)
+        )
+
+    def test_read_candidates_tsv(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text(
+            "PER\tMaria Koch\t\tvisited Berlin\n"
+            "LOC\tBerlin\tMaria Koch visited\t\n"
+            "LOC\tBerlin\t\twelcomed Maria Koch\n"
+            "\tWelcomed\tBerlin\tBerlin Maria\n"
+        )
+        candidates = read_candidates_tsv(path)
+        assert_one_object_per_value(c.gold_tag for c in candidates[:3])
+        assert candidates[3].gold_tag is None
+        assert_one_object_per_value(
+            token for c in candidates
+            for token in (*c.span_tokens, *c.left_context, *c.right_context)
+        )
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([("New York", "B-LOC"), ("fell", "O")], "tokens must be non-empty and whitespace-free: 'New York'"),
+    ([("in", "O"), ("Rome", "B-")], "gold tag must be non-empty and whitespace-free: ''"),
+    ([("Rome", "I-")], "gold tag must be non-empty and whitespace-free: ''"),
+    ([("Rome", "B-A B")], "gold tag must be non-empty and whitespace-free: 'A B'"),
+    ([("x y", "O"), ("Rome", "O")], "tokens must be non-empty and whitespace-free: 'x y'"),
+])
+def test_hand_built_sentence_gets_the_constructors_error(pairs, message):
+    # parse_column_file never makes these; extract_candidates checks them as Candidate does
+    with pytest.raises(ValueError) as err:
+        extract_candidates([sent(*pairs)])
+    assert str(err.value) == message

@@ -300,3 +300,35 @@ class TestFeatureSpace:
         with pytest.raises(DataFormatError) as info:
             FeatureSpace.load(path)
         assert str(info.value) == f"{path}:{line}: {message}"
+
+
+# the lookup builds "ctx=" + token itself: tokens that hold "=" or already
+# begin with "ctx=" must find exactly the names extract_features makes
+lookup_tokens = st.text(alphabet="aZ.1\u00df\u0130\u01c5\u4e2d=-", min_size=1, max_size=5)
+lookup_tokens = st.one_of(lookup_tokens, lookup_tokens.map("ctx=".__add__))
+lookup_candidates = st.builds(
+    Candidate,
+    st.lists(lookup_tokens, min_size=1, max_size=4),
+    st.lists(lookup_tokens, max_size=4),
+    st.lists(lookup_tokens, max_size=4),
+)
+
+
+class TestTokenLookup:
+    """vectorize_candidate and fit look names up by token and by span shape;
+    both must agree with the names extract_features defines."""
+
+    @given(st.lists(lookup_candidates, min_size=1, max_size=4),
+           st.lists(lookup_candidates, max_size=6), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_vectorize_candidate_is_vectorize_of_the_names(self, training, others, rnd):
+        names = FeatureSpace.fit(training).index_to_name
+        # fit's order and any order a loaded space file may have
+        for space in (FeatureSpace(names), FeatureSpace(rnd.sample(names, len(names)))):
+            for c in (*training, *others, *training):  # the repeats reuse cached shapes
+                assert space.vectorize_candidate(c) == space.vectorize(extract_features(c))
+
+    @given(st.lists(lookup_candidates, min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_is_the_sorted_union_of_the_names(self, cs):
+        assert FeatureSpace.fit(cs) == FeatureSpace(sorted(set().union(*map(extract_features, cs))))

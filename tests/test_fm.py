@@ -357,3 +357,41 @@ class TestModelValues:
         lines = path.read_text().splitlines()
         assert lines[3] == " ".join(f"{v:.17g}" for v in m.w.tolist())
         assert lines[4:] == [" ".join(f"{v:.17g}" for v in row) for row in m.V.tolist()]
+
+
+class TestStreamedLoad:
+    """A load parses the file as it reads it; messages and line numbers are
+    those of a reader that took every line first."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("FMMODEL v1\n2 1\n0\n0 0\n0\n", "m.txt:5: unexpected end of file while reading factor row 1"),
+        ("FMMODEL v1\n2 1\n0\n0 0\n", "m.txt:4: unexpected end of file while reading factor row 0"),
+        ("FMMODEL v1\n3 2\n0\n0 0 0\n1 2\n3 x\n", "m.txt:6: non-numeric value in factor row 1"),
+        # the last line of the model is named, not the trailing one
+        ("FMMODEL v1\n1 1\n0\n0\n0\nextra\n", "m.txt:5: trailing content after model block"),
+        ("FMMODEL v1\n1 1\n0\n0\n0\n\n", "m.txt:5: trailing content after model block"),
+    ], ids=["short-V-block", "no-V-rows", "bad-V-value", "trailing-line", "trailing-blank-line"])
+    def test_truncated_block_and_trailing_content(self, tmp_path, text, expected):
+        assert load_text(tmp_path, text) == expected
+
+    @pytest.mark.parametrize("body, line", [
+        # a bad bias on line 3, then an undecodable byte thousands of lines on:
+        # far past the first chunk the text layer decodes
+        ("FMMODEL v1\n3000 1\nzero\n" + " ".join(["0"] * 3000) + "\n" + "0\n" * 2000, 2005),
+        # a whole model, then trailing content before the undecodable byte
+        ("FMMODEL v1\n3000 1\n0\n" + " ".join(["0"] * 3000) + "\n" + "0\n" * 3000 + "x\n" * 3000,
+         6005),
+    ], ids=["bad-bias", "trailing-content"])
+    def test_invalid_utf8_later_in_the_file_wins(self, tmp_path, body, line):
+        path = tmp_path / "m.txt"
+        path.write_bytes(body.encode("ascii") + b"\xff\n" + b"0\n" * 9)
+        with pytest.raises(DataFormatError) as err:
+            load_fm_model(path)
+        assert str(err.value) == f"{path}:{line}: not valid UTF-8 text"
+
+    def test_cursor_takes_from_an_iterator(self):
+        cursor = LineCursor(iter(["a\n", "b\n", "c\n"]), path="p", lineno=4)
+        assert cursor.take("x") == "a"
+        assert cursor.take_lines(5) == ["b\n", "c\n"]
+        assert cursor.at_end() and cursor.lineno == 7
+        assert str(cursor.error("m")) == "p:7: m"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -257,6 +258,27 @@ class TestOvaFile:
             load_ova_model(path)
         assert err.value.line == line
 
+    def test_load_holds_about_one_block_of_text(self, tmp_path):
+        # the file is parsed as it is read: the peak is the arrays plus about
+        # one label's factor rows as text, not the six labels' whole file
+        rng = np.random.default_rng(5)
+        n, k = 3000, 8
+        models = [FMModel(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
+                  for _ in range(6)]
+        path = tmp_path / "ova.txt"
+        save_ova_model(OvAModel([f"T{i}" for i in range(6)], models), path)
+        with open(path, "rb") as fh:
+            block = sum(len(line) for line in fh.readlines()[6 : 6 + n])  # T0's factor rows
+        arrays = sum(m.w.nbytes + m.V.nbytes for m in models)
+        tracemalloc.start()
+        try:
+            loaded = load_ova_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == OvAModel([f"T{i}" for i in range(6)], models)
+        assert peak < arrays + 2 * block
+
 
 @pytest.fixture()
 def forks(monkeypatch):
@@ -411,7 +433,7 @@ class TestParallelTraining:
         train_ova(tagged(5), 12, config)
         assert trained_here == ["T0", "T2", "T4"]
 
-    @pytest.mark.parametrize("k_values", [[0, 5, 16], [16, 0], [5, 5]])
+    @pytest.mark.parametrize("k_values", [[0, 5, 16], [16, 0]])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_sweep_same_models_and_results_as_one_cpu(self, monkeypatch, forks, cpus, k_values):
         data, dev = tagged(3, size=60), tagged(3, size=30, seed=1)
@@ -427,6 +449,12 @@ class TestParallelTraining:
         # longest k first, each model scored as soon as its labels are in
         assert scored == [(k, per_k[k]) for k in sorted(k_values, reverse=True)]
         assert_reaped(forks, min(cpus, 3 * len(k_values)) - 1)  # one fork per worker, not per k
+
+    @pytest.mark.parametrize("k_values, k", [([5, 5], 5), ([0, 5, 16, 0], 0)])
+    def test_sweep_rejects_a_repeated_k(self, monkeypatch, k_values, k):
+        monkeypatch.setattr(os, "fork", None)  # starting a process would fail
+        with pytest.raises(ConfigError, match=f"^k={k} appears twice in the k values$"):
+            sweep_k(tagged(3, size=60), tagged(3, size=30, seed=1), 12, k_values, cfg(epochs=2))
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_diverging_sweep_same_error_as_one_cpu(self, monkeypatch, forks, cpus):
