@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 All file writes are atomic, so interrupted runs never leave partial
-artifacts at their target paths.
+artifacts at their target paths.  With a second usable CPU (not under `taskset -c 0`),
+predict and eval parse the model file in a forked child while they read the rest.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .evaluate import (
 from .features import FeatureSpace
 from .multiclass import load_ova_model, save_ova_model, train_ova
 from .train import LOSS_KINDS, TrainConfig
-from .util import atomic_write
+from .util import Forked, atomic_write, process_count, sendable
 
 log = logging.getLogger("fmnec")
 
@@ -120,15 +121,40 @@ def _read_candidates(path, need_gold=False):
     return candidates
 
 
-def _load_model_and_space(args):
+def _scored(args, need_gold=False):
+    """The model, the candidates' gold tags and their scores.  The error raised is the first a
+    sequential read meets: the model's, the space's, a size mismatch, the candidates'."""
     _require_files(args.model, args.space)
-    model = load_ova_model(args.model)
-    space = FeatureSpace.load(args.space)
-    if model.n != len(space):
-        raise ConfigError(
-            f"model dimension {model.n} does not match feature space size {len(space)}"
-        )
-    return model, space
+    fork = process_count(2) > 1
+    loader = Forked(f"the loader of {args.model}", _load_model, args.model) if fork else None
+    try:
+        model = None if fork else _load_model(args.model)[0]
+        space = error = None
+        try:  # this process's errors wait for the model's outcome
+            space = FeatureSpace.load(args.space)
+            xs, gold = _vectorized(space, _read_candidates(args.candidates, need_gold))
+        except Exception as exc:
+            error = exc
+        model = loader.receive() if fork else model
+    finally:
+        if fork:
+            loader.close()
+    if isinstance(model, Exception):
+        raise model
+    if space is not None and model.n != len(space):
+        raise ConfigError(f"model dimension {model.n} does not match "
+                          f"feature space size {len(space)}")
+    if error is not None:
+        raise error
+    return model, gold, model.predict_scores(xs)
+
+
+def _load_model(path) -> list:
+    """[the model, or the error loading it raised], the same in a forked loader or here."""
+    try:
+        return [load_ova_model(path)]
+    except Exception as exc:
+        return [sendable(exc, f"loading {path}")]
 
 
 def _vectorized(space, candidates):
@@ -195,9 +221,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     _check_out_file(args.out)
-    model, space = _load_model_and_space(args)
-    xs, gold = _vectorized(space, _read_candidates(args.candidates))
-    scores = model.predict_scores(xs)
+    model, gold, scores = _scored(args)
     preds = model.best_labels(scores)
     # "%.17g" % v is format_g17(v); one format per row, not one per value
     row = "%s\t%s" + "\t%.17g" * len(model.labels) + "\n"
@@ -230,9 +254,7 @@ def _pr_curve_files(model, gold, scores) -> dict[str, str]:
 
 def cmd_eval(args):
     _check_out_dir(args.out)
-    model, space = _load_model_and_space(args)
-    xs, gold = _vectorized(space, _read_candidates(args.candidates, need_gold=True))
-    scores = model.predict_scores(xs)
+    model, gold, scores = _scored(args, need_gold=True)
     report = evaluate(gold, model.best_labels(scores))
     # every output is built before the first file is written, so a failing
     # eval leaves no outputs behind

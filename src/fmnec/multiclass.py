@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import os
-import pickle
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -13,7 +9,8 @@ import numpy as np
 from .errors import ConfigError
 from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
 from .train import TrainConfig, train_binary
-from .util import LineCursor, atomic_write, derive_seed, first_bad_token
+from .util import (Forked, LineCursor, atomic_write, derive_seed, first_bad_token, process_count,
+                   sendable)
 
 OVA_FORMAT_HEADER = "FMOVA v1"
 
@@ -104,11 +101,13 @@ def _train_configs(data, n: int, configs, on_epoch=None):
     labels = sorted(tags)
     _check_labels(labels)
     jobs = [(config, label) for config in sorted(configs, key=lambda c: -c.k) for label in labels]
-    W = _process_count(len(jobs))
+    W = process_count(len(jobs))
     workers = []
     try:
         for w in range(1, W):
-            workers.append(_Worker(data, n, jobs[w::W]))
+            stride = ", ".join(dict.fromkeys(label for _, label in jobs[w::W]))
+            workers.append(Forked(f"the training worker for labels {stride}",
+                                  _train_jobs, data, n, jobs[w::W]))
         own = _train_jobs(data, n, jobs[0::W])  # popped: a model the consumer drops is freed
         models = []
         for i, (_, label) in enumerate(jobs):
@@ -139,72 +138,8 @@ def _train_jobs(data, n: int, jobs) -> list:
         except ConfigError as exc:
             return results + [(calls, ConfigError(f"label {label}: {exc}"))]
         except Exception as exc:  # raised in job order, also from a worker
-            try:  # one that pickle cannot send becomes one stated error, whatever W is
-                pickle.loads(pickle.dumps(exc))
-            except Exception:  # unpickling runs the exception's own __init__: anything goes
-                exc = RuntimeError(f"label {label}: training raised {type(exc).__name__}, "
-                                   f"which cannot be sent between processes: {exc}")
-            return results + [(calls, exc)]
+            return results + [(calls, sendable(exc, f"label {label}: training"))]
     return results
-
-
-def _process_count(job_count: int) -> int:
-    """Processes to train on: one per usable CPU, at most one per job, and
-    only this one in a multiprocessing daemon (a Pool worker), which its pool
-    may end with no chance to end the daemon's own children."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    mp = sys.modules.get("multiprocessing")
-    return 1 if mp is not None and mp.current_process().daemon else min(job_count, cpus)
-
-
-class _Worker:
-    """A forked process that trains ``jobs``, then pickles their results into a pipe."""
-
-    def __init__(self, data, n: int, jobs):
-        self.labels = list(dict.fromkeys(label for _, label in jobs))
-        self.status = None  # the wait status, once reaped
-        read_end, write_end = os.pipe()
-        # Python >= 3.12 warns that forking with threads alive may deadlock the child.
-        # Ours are OpenBLAS's, which stops its pool around fork (pthread_atfork); the
-        # child runs single-threaded numpy on data it only reads, and its models came
-        # out bit-identical with them alive.
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
-            self.pid = os.fork()
-        if self.pid == 0:  # the worker ends here, whatever happens: no traceback, no stdio flush
-            code = 1
-            try:
-                os.close(read_end)
-                # every job trains before the first write: a full pipe must not stall training
-                results = _train_jobs(data, n, jobs)
-                with open(write_end, "wb") as out:
-                    for result in results:
-                        pickle.dump(result, out)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_end)  # the worker holds the only write end: its exit ends the pipe
-        self.reader = open(read_end, "rb")
-
-    def receive(self):
-        """The next result, read with no copy beyond the arrays it holds."""
-        try:
-            return pickle.load(self.reader)
-        except (EOFError, pickle.UnpicklingError):
-            self.reader.close()
-            self.status = os.waitpid(self.pid, 0)[1]
-            raise ChildProcessError(
-                f"the training worker for labels {', '.join(self.labels)} exited with code "
-                f"{os.waitstatus_to_exitcode(self.status)} before sending its results"
-            ) from None
-
-    def close(self) -> None:
-        if self.status is None:  # not reaped, so the pid is still this worker's
-            import signal  # only here: commands that train nothing never load it
-
-            self.reader.close()
-            os.kill(self.pid, signal.SIGTERM)  # a worker still training has lost its caller
-            self.status = os.waitpid(self.pid, 0)[1]
 
 
 def write_ova_model(fh, model: OvAModel) -> None:

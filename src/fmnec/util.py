@@ -1,10 +1,13 @@
-"""Shared plumbing: atomic file writes, text reading, stable seed derivation, line parsing."""
+"""Shared plumbing: atomic writes, text reading, seed derivation, line parsing, forked children."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+import pickle
 import secrets
+import sys
+import warnings
 from contextlib import contextmanager
 from itertools import islice
 
@@ -141,3 +144,72 @@ def format_table(rows: list[list[str]]) -> str:
         cells += [row[col].rjust(widths[col]) for col in range(1, len(row))]
         lines.append("  ".join(cells).rstrip())
     return "\n".join(lines)
+
+
+def process_count(job_count: int) -> int:
+    """Processes to run jobs on: one per usable CPU, at most one per job, and
+    only this one in a multiprocessing daemon (a Pool worker), which its pool
+    may end with no chance to end the daemon's own children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    mp = sys.modules.get("multiprocessing")
+    return 1 if mp is not None and mp.current_process().daemon else min(job_count, cpus)
+
+
+def sendable(exc: Exception, what: str) -> Exception:
+    """``exc``, or a stated RuntimeError if pickle cannot send it; applied at any process count."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:  # unpickling runs the exception's own __init__: anything goes
+        return RuntimeError(f"{what} raised {type(exc).__name__}, "
+                            f"which cannot be sent between processes: {exc}")
+    return exc
+
+
+class Forked:
+    """A forked process that runs ``fn(*args)``, a list, then pickles its items into a pipe.
+    ``what`` names the process in the error of one that dies before sending them."""
+
+    def __init__(self, what: str, fn, *args):
+        self.what = what
+        self.status = None  # the wait status, once reaped
+        read_end, write_end = os.pipe()
+        # Python >= 3.12 warns that forking with threads alive may deadlock the child.
+        # Ours are OpenBLAS's, which stops its pool around fork (pthread_atfork); the
+        # child runs single-threaded numpy on data it only reads, and its results came
+        # out bit-identical with them alive.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:  # the child ends here, whatever happens: no traceback, no stdio flush
+            code = 1
+            try:
+                os.close(read_end)
+                # every item is made before the first write: a full pipe must not stall the work
+                results = fn(*args)
+                with open(write_end, "wb") as out:
+                    for result in results:
+                        pickle.dump(result, out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)  # the child holds the only write end: its exit ends the pipe
+        self.reader = open(read_end, "rb")
+
+    def receive(self):
+        """The next item, read with no copy beyond the arrays it holds."""
+        try:
+            return pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
+            self.reader.close()
+            self.status = os.waitpid(self.pid, 0)[1]
+            raise ChildProcessError(
+                f"{self.what} exited with code {os.waitstatus_to_exitcode(self.status)} "
+                "before sending its results"
+            ) from None
+
+    def close(self) -> None:
+        if self.status is None:  # not reaped, so the pid is still this child's
+            import signal  # only here: commands that fork nothing never load it
+            self.reader.close()
+            os.kill(self.pid, signal.SIGTERM)  # a child still working has lost its caller
+            self.status = os.waitpid(self.pid, 0)[1]

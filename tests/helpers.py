@@ -1,8 +1,11 @@
-"""Shared builders for the test suite: random models, XOR fixtures, corpora."""
+"""Shared builders for the test suite: random models, XOR fixtures, corpora, CPU counts."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pytest
 
 from fmnec import FMModel, SparseVector
 from fmnec.util import atomic_write
@@ -89,3 +92,16 @@ def write_xor_corpus(path, copies, noise, seed, start_id=0):
                 fh.write(f"{word} NN I-NP O\n")
             fh.write("\n")
     return ident
+
+
+def usable_cpus(monkeypatch, count):
+    """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def assert_reaped(pids, count):
+    """``count`` children were forked, and every one of them has been waited for."""
+    assert len(pids) == count
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # waited for: no longer a child of this process
+            os.waitpid(pid, os.WNOHANG)

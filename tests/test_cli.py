@@ -1,14 +1,15 @@
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import fmnec
-from fmnec import FeatureSpace, load_ova_model, read_candidates_tsv
+from fmnec import FeatureSpace, cli, load_ova_model, read_candidates_tsv
 from fmnec.cli import main
 
-from helpers import write_xor_corpus
+from helpers import assert_reaped, usable_cpus, write_xor_corpus
 
 
 @pytest.fixture(scope="module")
@@ -466,3 +467,178 @@ def test_cli_import_does_not_load_multiprocessing():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": src}, check=True)
     assert result.stdout == "[]\n"
+
+
+def _scoring_argv(command, model, space, candidates, out):
+    """predict, or eval with its PR curves, on the given files."""
+    argv = [command, "--model", str(model), "--space", str(space),
+            "--candidates", str(candidates), "--out", str(out)]
+    return argv + ["--pr-curves"] if command == "eval" else argv
+
+
+def main_without_fork(argv):
+    os.fork = None  # in a Pool worker: any attempt to fork fails
+    return main(argv)
+
+
+# (model, space, candidates, exit code, message): each case holds two or more
+# faults, and the error is the one a sequential read meets first
+LOAD_ERRORS = {
+    "bad model, bad candidates": ("bad_model", "space", "bad_candidates", 2,
+                                  "{bad_model}:6: expected 1 values for bias, got 2"),
+    "bad model, bad space": ("bad_model", "bad_space", "bad_candidates", 2,
+                             "{bad_model}:6: expected 1 values for bias, got 2"),
+    "bad space, bad candidates": ("model", "bad_space", "bad_candidates", 2,
+                                  "{bad_space}:1: feature names must be non-empty and "
+                                  "whitespace-free: 'a b'"),
+    "size mismatch, missing candidates": ("model", "small_space", "missing", 1,
+                                          "model dimension {n} does not match feature space "
+                                          "size 1"),
+    "missing candidates": ("model", "space", "missing", 1, "input file not found: {missing}"),
+    "empty candidates": ("model", "space", "empty", 1, "candidates file is empty: {empty}"),
+    "bad candidates": ("model", "space", "bad_candidates", 2,
+                       "{bad_candidates}:1: expected 4 tab-separated fields, got 2"),
+    "no gold tags": ("model", "space", "untagged", 2,
+                     "{untagged}: every candidate needs a gold tag here"),
+}
+
+
+class TestForkedLoader:
+    """predict and eval parse the model file in a forked child at two usable CPUs, and in
+    the command's own process at one; nothing observable may depend on which."""
+
+    @pytest.fixture()
+    def files(self, pipeline, tmp_path):
+        lines = pipeline["model"].read_text().splitlines(keepends=True)
+        lines[5] = "0.5 0.5\n"  # the first member's bias line
+        rows = pipeline["test_candidates"].read_text().splitlines()
+        written = {
+            "bad_model": "".join(lines), "bad_space": "a b\n", "small_space": "dummy\n",
+            "bad_candidates": "only\ttwo\n", "empty": "",
+            "untagged": "".join("\t".join(["", *row.split("\t")[1:]]) + "\n" for row in rows),
+        }
+        for name, text in written.items():
+            (tmp_path / name).write_text(text)
+        return {"model": pipeline["model"], "space": pipeline["space"],
+                "candidates": pipeline["test_candidates"], "missing": tmp_path / "missing",
+                "n": load_ova_model(pipeline["model"]).n,
+                **{name: tmp_path / name for name in written}}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command, case", [
+        *((command, case) for case in LOAD_ERRORS if case != "no gold tags"
+          for command in ("predict", "eval")),
+        ("eval", "no gold tags"),
+    ])
+    def test_error_is_the_first_of_a_sequential_read(self, files, monkeypatch, forks, capfd,
+                                                     tmp_path, cpus, command, case):
+        model, space, candidates, code, message = LOAD_ERRORS[case]
+        usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "out"
+        assert main(_scoring_argv(command, files[model], files[space], files[candidates],
+                                  out)) == code
+        assert capfd.readouterr() == ("", f"error: {message.format(**files)}\n")
+        assert not out.exists()
+        assert_reaped(forks, cpus - 1)
+
+    def test_outputs_identical_at_one_and_two_cpus(self, files, monkeypatch, forks, capfd,
+                                                   tmp_path):
+        runs = {}
+        for cpus in (2, 1):
+            usable_cpus(monkeypatch, cpus)
+            if cpus == 1:
+                monkeypatch.setattr(os, "fork", None)  # starting a process would fail
+            out = tmp_path / str(cpus)
+            out.mkdir()
+            for command, target in (("predict", "predictions.tsv"), ("eval", "eval")):
+                assert main(_scoring_argv(command, files["model"], files["space"],
+                                          files["candidates"], out / target)) == 0
+            written = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*.*")}
+            runs[cpus] = written, capfd.readouterr()
+        assert runs[1] == runs[2]
+        assert sorted(runs[1][0]) == ["eval/confusion.tsv", "eval/pr_PER.tsv", "eval/report.tsv",
+                                      "eval/report.txt", "predictions.tsv"]
+        assert "micro" in runs[1][1].out
+        assert_reaped(forks, 2)  # one loader per command, each waited for
+
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # the Pool's own fork
+    def test_daemonic_caller_loads_inline(self, files, monkeypatch, tmp_path):
+        # a Pool worker is a daemon, which its pool may end with no chance to
+        # end the daemon's own children; there predict must not fork
+        import multiprocessing
+
+        usable_cpus(monkeypatch, 2)
+        argvs = [_scoring_argv("predict", files["model"], files["space"], files["candidates"],
+                               tmp_path / name) for name in ("pool.tsv", "here.tsv")]
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(main_without_fork, (argvs[0],)) == 0
+        assert main(argvs[1]) == 0
+        assert (tmp_path / "pool.tsv").read_bytes() == (tmp_path / "here.tsv").read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unsendable_load_error_is_one_stated_error_at_any_cpu_count(
+            self, files, monkeypatch, forks, capfd, tmp_path, cpus):
+        def load_ova_model(path):
+            raise ValueError(lambda: 0)  # pickle cannot send a lambda
+
+        monkeypatch.setattr(cli, "load_ova_model", load_ova_model)
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(RuntimeError) as err:
+            main(_scoring_argv("predict", files["model"], files["space"], files["candidates"],
+                               tmp_path / "p.tsv"))
+        assert type(err.value) is RuntimeError
+        assert str(err.value).startswith(f"loading {files['model']} raised ValueError, "
+                                         "which cannot be sent between processes: ")
+        assert "Traceback" not in capfd.readouterr().err
+        assert_reaped(forks, cpus - 1)
+
+    def test_no_loader_outlives_an_interrupt_in_the_caller(self, files, monkeypatch, forks,
+                                                            tmp_path):
+        # the caller is interrupted while its child loads the model, for a minute
+        caller, real = os.getpid(), cli.load_ova_model
+
+        def load_ova_model(path):
+            if os.getpid() != caller:
+                time.sleep(60)
+            return real(path)
+
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "load_ova_model", load_ova_model)
+        monkeypatch.setattr(FeatureSpace, "load", interrupted)
+        usable_cpus(monkeypatch, 2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(_scoring_argv("predict", files["model"], files["space"], files["candidates"],
+                               tmp_path / "p.tsv"))
+        assert time.monotonic() - start < 20
+        assert_reaped(forks, 1)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_dead_loader_is_one_line(pipeline, tmp_path, command):
+    # at 2 usable CPUs a forked child loads the model file; it dies
+    script = (
+        "import os, sys\n"
+        "from fmnec import cli\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "caller, real = os.getpid(), cli.load_ova_model\n"
+        "def load_ova_model(path):\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(3)\n"
+        "    return real(path)\n"
+        "cli.load_ova_model = load_ova_model\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
+    out = tmp_path / "out"
+    argv = _scoring_argv(command, pipeline["model"], pipeline["space"],
+                         pipeline["test_candidates"], out)
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 2
+    assert result.stderr == (f"error: the loader of {pipeline['model']} exited with code 3 "
+                             "before sending its results\n")
+    assert result.stdout == ""
+    assert not out.exists()

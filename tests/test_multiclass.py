@@ -27,7 +27,7 @@ from fmnec import (
 from fmnec import multiclass
 from fmnec.util import derive_seed
 
-from helpers import make_xor_tagged
+from helpers import assert_reaped, make_xor_tagged, usable_cpus
 
 
 def bias_model(w0, n=0, k=0):
@@ -278,33 +278,6 @@ class TestOvaFile:
             tracemalloc.stop()
         assert loaded == OvAModel([f"T{i}" for i in range(6)], models)
         assert peak < arrays + 2 * block
-
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """The pid of every worker train_ova forks during the test."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def assert_reaped(pids, count):
-    assert len(pids) == count
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # waited for: no longer a child of this process
-            os.waitpid(pid, os.WNOHANG)
-
-
-def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 def tagged(label_count, n=12, size=40, seed=0):
