@@ -27,6 +27,7 @@ from .corpus import (
 )
 from .errors import ConfigError, DataFormatError
 from .evaluate import (
+    _pct,
     evaluate,
     format_confusion_tsv,
     format_pr_curve_tsv,
@@ -40,7 +41,7 @@ from .evaluate import (
 from .features import FeatureSpace
 from .multiclass import load_ova_model, save_ova_model, train_ova
 from .train import LOSS_KINDS, TrainConfig
-from .util import Forked, atomic_write, process_count, sendable
+from .util import G17, Forked, atomic_write, process_count, sendable
 
 log = logging.getLogger("fmnec")
 
@@ -162,6 +163,14 @@ def _vectorized(space, candidates):
     return [space.vectorize_candidate(c) for c in candidates], [c.gold_tag for c in candidates]
 
 
+def _training_set(path):
+    """The feature space fitted on a gold candidates file and its (vector, tag) pairs;
+    the candidates are freed on return."""
+    candidates = _read_candidates(path, need_gold=True)
+    space = FeatureSpace.fit(candidates)
+    return space, list(zip(*_vectorized(space, candidates)))
+
+
 def cmd_prepare(args):
     _check_out_dir(args.out)
     _require_files(args.train, *(p for p in (args.dev, args.test) if p))
@@ -201,10 +210,7 @@ def cmd_stats(args):
 def cmd_train(args):
     _check_out_dir(args.out)
     config = _train_config(args, args.k)
-    candidates = _read_candidates(args.candidates, need_gold=True)
-    space = FeatureSpace.fit(candidates)
-    data = list(zip(*_vectorized(space, candidates)))
-    del candidates
+    space, data = _training_set(args.candidates)
 
     def on_epoch(label, epoch, mean_loss):
         log.info("label %s epoch %d mean loss %.6f", label, epoch + 1, mean_loss)
@@ -223,8 +229,7 @@ def cmd_predict(args):
     _check_out_file(args.out)
     model, gold, scores = _scored(args)
     preds = model.best_labels(scores)
-    # "%.17g" % v is format_g17(v); one format per row, not one per value
-    row = "%s\t%s" + "\t%.17g" * len(model.labels) + "\n"
+    row = "%s\t%s" + ("\t" + G17) * len(model.labels) + "\n"
     with atomic_write(args.out) as fh:
         fh.write("# pred\tgold\t" + "\t".join(model.labels) + "\n")
         fh.writelines(
@@ -284,16 +289,13 @@ def cmd_sweep_k(args):
         raise ConfigError(f"--k-values must be comma-separated integers: {args.k_values!r}") from None
     config = _train_config(args, TrainConfig.k)
     sweep_configs(k_values, config)  # every config is checked before any input is read
-    candidates = _read_candidates(args.train, need_gold=True)
-    space = FeatureSpace.fit(candidates)
-    train = list(zip(*_vectorized(space, candidates)))
-    del candidates
+    space, train = _training_set(args.train)
     dev = list(zip(*_vectorized(space, _read_candidates(args.dev, need_gold=True))))
     results = sweep_k(train, dev, len(space), k_values, config)
     with atomic_write(args.out) as fh:
         fh.write(format_sweep_tsv(results))
     for k, f1 in results:
-        print(f"k={k}\tmicro_f1={100.0 * f1:.2f}")
+        print(f"k={k}\tmicro_f1={_pct(f1)}")
     return 0
 
 

@@ -160,21 +160,13 @@ def corpus_stats(candidates) -> CorpusStats:
     return CorpusStats({tag: TagCount(tokens[tag], len(surfaces[tag])) for tag in tokens})
 
 
-def tag_display_order(tags) -> list[str]:
-    """Entity tags sorted lexicographically, the non-entity tag O last."""
-    tags = set(tags)
-    ordered = sorted(tag for tag in tags if tag != NEGATIVE_TAG)
-    if NEGATIVE_TAG in tags:
-        ordered.append(NEGATIVE_TAG)
-    return ordered
-
-
 def format_stats_table(stats_by_split: dict[str, CorpusStats]) -> str:
-    """Counts table: one row per tag, one column per split, cells "tokens (types)"."""
+    """Counts table: one row per tag, one column per split, cells "tokens (types)"; entity
+    tags sorted lexicographically, the non-entity tag O last."""
     splits = list(stats_by_split)
-    tags = tag_display_order(tag for stats in stats_by_split.values() for tag in stats.per_tag)
+    tags = {tag for stats in stats_by_split.values() for tag in stats.per_tag}
     rows = [["tag", *splits]]
-    for tag in tags:
+    for tag in sorted(tags, key=lambda t: (t == NEGATIVE_TAG, t)):
         row = [tag]
         for split in splits:
             tc = stats_by_split[split].per_tag.get(tag)

@@ -161,9 +161,7 @@ def format_confusion_tsv(report: EvalReport) -> str:
 
 def format_pr_curve_tsv(points) -> str:
     """Two-column numeric file (percent, 2 decimals), one ranking prefix per row."""
-    # recall before precision; "%.2f" % v is f"{v:.2f}", so each cell is _pct's
-    cells = (100.0 * np.array(points, dtype=np.float64).reshape(-1, 2)[:, ::-1]).ravel()
-    return "recall\tprecision\n" + "%.2f\t%.2f\n" * (cells.size // 2) % tuple(cells.tolist())
+    return "recall\tprecision\n" + "".join(f"{_pct(r)}\t{_pct(p)}\n" for p, r in points)
 
 
 def format_sweep_tsv(results) -> str:

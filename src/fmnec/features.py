@@ -21,6 +21,7 @@ Character classes are judged per character over all span tokens joined
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -65,10 +66,17 @@ class Candidate:
 
 def extract_features(candidate: Candidate) -> set[str]:
     """Feature names for one candidate (a set, so order never matters)."""
-    feats = {f"ctx={token}" for token in candidate.left_context}
-    feats.update(f"ctx={token}" for token in candidate.right_context)
+    feats = set(map(_ctx_name, _context(candidate)))
     feats.update(_shape_names(_shape(candidate.span_tokens)))
     return feats
+
+
+def _context(candidate: Candidate):
+    """The candidate's context tokens, left then right: one bag of ``ctx=`` names."""
+    return chain(candidate.left_context, candidate.right_context)
+
+
+_ctx_name = "ctx=".__add__  # the feature name of a context token
 
 
 def _shape(span_tokens) -> tuple[bool, bool, bool, bool, int]:
@@ -116,13 +124,12 @@ class FeatureSpace:
         tokens = set()
         shapes = set()
         for candidate in candidates:
-            tokens.update(candidate.left_context)
-            tokens.update(candidate.right_context)
+            tokens.update(_context(candidate))
             shapes.add(_shape(candidate.span_tokens))
         if not shapes:
             raise ConfigError("cannot fit a feature space on zero candidates")
         # extract_features' names, collected as their parts
-        names = set(map("ctx=".__add__, tokens))
+        names = set(map(_ctx_name, tokens))
         for shape in shapes:
             names.update(_shape_names(shape))
         return cls(sorted(names))
@@ -135,8 +142,7 @@ class FeatureSpace:
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
         """``vectorize(extract_features(candidate))``, looked up by token."""
         get = self.name_to_index.get
-        found = set(map(get, map("ctx=".__add__, candidate.left_context)))
-        found.update(map(get, map("ctx=".__add__, candidate.right_context)))
+        found = set(map(get, map(_ctx_name, _context(candidate))))
         shape = _shape(candidate.span_tokens)
         known = self._shape_indices.get(shape)
         if known is None:

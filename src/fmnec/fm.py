@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataFormatError, DimensionMismatchError
-from .util import LineCursor, atomic_write, format_g17, open_text
+from .util import G17, LineCursor, atomic_write, open_text
 
 MODEL_FORMAT_HEADER = "FMMODEL v1"
 
@@ -236,10 +236,9 @@ def write_fm_model(fh, model: FMModel) -> None:
     """Emit the FMMODEL v1 text block: header, "n k", w0, w line, V rows."""
     fh.write(MODEL_FORMAT_HEADER + "\n")
     fh.write(f"{model.n} {model.k}\n")
-    fh.write(format_g17(model.w0) + "\n")
-    # "%.17g" % v is format_g17(v); one format per line, not one per value
-    fh.write(" ".join(["%.17g"] * model.n) % tuple(model.w.tolist()) + "\n")
-    row = " ".join(["%.17g"] * model.k) + "\n"
+    fh.write(G17 % model.w0 + "\n")
+    fh.write(" ".join([G17] * model.n) % tuple(model.w.tolist()) + "\n")
+    row = " ".join([G17] * model.k) + "\n"
     fh.writelines(row % tuple(values) for values in model.V.tolist())
 
 

@@ -14,9 +14,7 @@ from itertools import islice
 from .errors import DataFormatError
 
 
-def format_g17(value: float) -> str:
-    """Render a float with 17 significant digits (lossless text round-trip)."""
-    return f"{value:.17g}"
+G17 = "%.17g"  # a float's text in every file written: 17 significant digits round-trip
 
 
 def derive_seed(seed: int, *parts: str) -> int:

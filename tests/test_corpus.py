@@ -251,6 +251,12 @@ class TestCandidatesTsv:
         write_candidates_tsv(path, [Candidate(["a", "b"], ["l"], ["r"], "LOC")])
         assert path.read_text() == "LOC\ta b\tl\tr\n"
 
+    def test_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("PER\tJohn\t\tspoke\n\nLOC\tRome\tin\t\n")
+        assert read_candidates_tsv(path) == [Candidate(["John"], [], ["spoke"], "PER"),
+                                             Candidate(["Rome"], ["in"], [], "LOC")]
+
     def test_rejects_wrong_arity(self, tmp_path):
         path = tmp_path / "c.tsv"
         path.write_text("PER\tJohn\n")

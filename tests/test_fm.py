@@ -67,6 +67,8 @@ class TestFMModelConstruction:
             FMModel(0.0, [1.0, 2.0], [[1.0]])  # V rows != len(w)
         with pytest.raises(ValueError):
             FMModel(0.0, [[1.0]], [[1.0]])  # w not 1-d
+        with pytest.raises(ValueError, match="V must be a 2-d matrix"):
+            FMModel(0.0, [1.0], [1.0])
         with pytest.raises(ValueError):
             FMModel(float("inf"), [1.0], [[1.0]])
 
@@ -226,6 +228,8 @@ class TestModelFile:
             "FMMODEL v1\n1 1\nzero\n0\n0\n",    # non-numeric
             "FMMODEL v1\n1 1\n0\n0 0\n0\n",     # wrong w arity
             "FMMODEL v1\n0 99999999999999999999\n0\n\n",  # k too large for any array
+            "FMMODEL v1\n-1 1\n0\n0\n0\n",   # negative n
+            "FMMODEL v1\n1 -1\n0\n0\n0\n",   # negative k
         ],
     )
     def test_rejects_malformed(self, tmp_path, content):
@@ -235,6 +239,15 @@ class TestModelFile:
         path.write_text(content)
         with pytest.raises(DataFormatError):
             load_fm_model(path)
+
+    @pytest.mark.parametrize("dims", ["-1 1", "1 -1"])
+    def test_names_negative_dimensions(self, tmp_path, dims):
+        # the list above checks only the type, which a later check would raise too
+        path = tmp_path / "model.txt"
+        path.write_text(f"FMMODEL v1\n{dims}\n0\n0\n0\n")
+        with pytest.raises(DataFormatError) as err:
+            load_fm_model(path)
+        assert str(err.value) == f"{path}:2: model dimensions must be non-negative"
 
     def test_rejects_trailing_content(self, tmp_path):
         m = FMModel(0.0, [0.0], [[0.0]])

@@ -53,6 +53,10 @@ class TestOvAModelValidation:
         with pytest.raises(ConfigError):
             OvAModel(["A", "B"], [bias_model(0.0, n=1), bias_model(0.0, n=2)])
 
+    def test_rejects_fewer_models_than_labels(self):
+        with pytest.raises(ConfigError, match="exactly one binary model required per label"):
+            OvAModel(["A", "B"], [bias_model(0.0)])
+
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
             OvAModel([], [])

@@ -142,6 +142,10 @@ class TestLossValue:
         with pytest.raises(ValueError):
             loss_value("hinge", 0.0, 2)
 
+    def test_rejects_unknown_loss(self):
+        with pytest.raises(ConfigError, match="loss must be one of"):
+            loss_value("squared", 0.0, 1)
+
 
 class TestSgdStep:
     def test_hand_example(self):

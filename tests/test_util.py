@@ -13,7 +13,7 @@ from fmnec import (
     parse_column_file,
     read_candidates_tsv,
 )
-from fmnec.util import atomic_write, derive_seed, format_g17, open_text
+from fmnec.util import G17, atomic_write, derive_seed, open_text
 
 
 class TestAtomicWrite:
@@ -83,7 +83,18 @@ class TestDeriveSeed:
 class TestFormatG17:
     @pytest.mark.parametrize("value", [0.1, -0.0, 1e-300, 3.141592653589793, 1.0])
     def test_round_trips(self, value):
-        assert float(format_g17(value)) == value
+        assert float(G17 % value) == value
+
+
+@pytest.mark.parametrize("path, line, expected", [
+    ("f.tsv", 3, "f.tsv:3: bad"),
+    ("f.tsv", None, "f.tsv: bad"),
+    (None, 3, "line 3: bad"),
+    (None, None, "bad"),
+])
+def test_data_format_error_names_what_it_has(path, line, expected):
+    err = DataFormatError("bad", path=path, line=line)
+    assert (str(err), err.path, err.line) == (expected, path, line)
 
 
 class TestOpenText:
