@@ -94,6 +94,36 @@ def write_xor_corpus(path, copies, noise, seed, start_id=0):
     return ident
 
 
+TYPE_CUES = {"PER": "mr", "LOC": "in", "ORG": "shares", "O": "said"}
+FILLERS = ("the", "a", "of", "on", "today", "new", "report")
+
+
+def write_tagged_corpus(path, sentences, seed, start_id=0):
+    """Column-format corpus of one candidate per sentence: PER, LOC, two-token ORG, or a
+    capitalized O token.  Its type's cue word stands next to it with p = 0.8, among
+    filler words; one surface in four comes from a pool of 20, so the unknown filter
+    drops some evaluation candidates.  Returns the next unused surface id."""
+    rng = np.random.default_rng(seed)
+    types = list(TYPE_CUES)
+    with atomic_write(path) as fh:
+        fh.write("-DOCSTART- -X- -X- O\n\n")
+        for ident in range(start_id, start_id + sentences):
+            kind = types[int(rng.integers(len(types)))]
+            surface = f"Zp{int(rng.integers(20)):02d}" if rng.random() < 0.25 else f"Xq{ident:05d}"
+            tokens = [(surface, kind if kind == "O" else "B-" + kind)]
+            if kind == "ORG":
+                tokens.append(("Group", "I-ORG"))
+            if rng.random() < 0.8:
+                cue = (TYPE_CUES[kind], "O")
+                tokens = [cue, *tokens] if rng.random() < 0.5 else [*tokens, cue]
+            fillers = [(FILLERS[int(i)], "O") for i in rng.integers(len(FILLERS), size=3)]
+            cut = int(rng.integers(4))
+            for word, tag in fillers[:cut] + tokens + fillers[cut:]:
+                fh.write(f"{word} NN I-NP {tag}\n")
+            fh.write("\n")
+    return start_id + sentences
+
+
 def usable_cpus(monkeypatch, count):
     """Make ``os.sched_getaffinity`` report ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
