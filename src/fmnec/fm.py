@@ -123,7 +123,7 @@ class FMModel:
 
     def __init__(self, w0: float, w, V):
         w = np.array(w, dtype=np.float64)
-        V = np.array(V, dtype=np.float64)
+        V = np.array(V, dtype=np.float64, order="C")  # the trainer views each row as one item
         if w.ndim != 1:
             raise ValueError("w must be a 1-d vector")
         if V.ndim != 2:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,9 +80,9 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
 
     Each label trains under a seed derived from (config.seed, label), so the
     result is reproducible and independent of tag order in ``data``.  With W usable
-    CPUs, at most one per label, this process trains ``labels[0::W]`` (``_train_configs``).
-    ``on_epoch``, when given, receives (label, epoch index, mean loss).
-    A diverging label raises ``ConfigError`` naming the label and the epoch.
+    CPUs, at most one per label, W processes pull the labels from one queue
+    (``_train_configs``).  ``on_epoch``, when given, receives (label, epoch index,
+    mean loss).  A diverging label raises ``ConfigError`` naming the label and the epoch.
     """
     [model] = _train_configs(data, n, [config], on_epoch)
     return model
@@ -89,9 +90,9 @@ def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
 
 def _train_configs(data, n: int, configs, on_epoch=None):
     """Yield each config's ``OvAModel`` once its labels are in.  Jobs are (config, label)
-    pairs, longest k first (stable).  With W usable CPUs, at most one per job, this process
-    trains ``jobs[0::W]`` and W - 1 workers, forked once, each other stride.  The first
-    failure in job order raises, after the ``on_epoch`` calls of every job up to it."""
+    pairs, longest k first (stable), pulled from one queue by this process and W - 1 workers
+    forked once (W usable CPUs, at most one per job).  Results and ``on_epoch`` calls are taken
+    in job order, at most one unread per worker, up to the first failure, which then raises."""
     data = list(data)
     if not data:
         raise ConfigError("training data is empty")
@@ -102,16 +103,29 @@ def _train_configs(data, n: int, configs, on_epoch=None):
     _check_labels(labels)
     jobs = [(config, label) for config in sorted(configs, key=lambda c: -c.k) for label in labels]
     W = process_count(len(jobs))
-    workers = []
+    queue, workers = _job_queue(len(jobs)) if W > 1 else None, []
+    pulls = iter(range(len(jobs))) if queue is None else (
+        int.from_bytes(record, "little") for record in iter(lambda: os.read(queue, 2), b""))
     try:
-        for w in range(1, W):
-            stride = ", ".join(dict.fromkeys(label for _, label in jobs[w::W]))
-            workers.append(Forked(f"the training worker for labels {stride}",
-                                  _train_jobs, data, n, jobs[w::W]))
-        own = _train_jobs(data, n, jobs[0::W])  # popped: a model the consumer drops is freed
-        models = []
+        while queue is not None and len(workers) < W - 1:
+            workers.append(Forked("a training worker", _train_jobs, data, n, jobs, pulls))
+        # own results are popped, so that a model the consumer drops is freed
+        sources = [_train_jobs(data, n, jobs, pulls)[::-1].pop, *(w.receive for w in workers)]
+        heads, models = [None] * len(sources), []  # each process's next result; () after its last
         for i, (_, label) in enumerate(jobs):
-            calls, outcome = own.pop(0) if i % W == 0 else workers[i % W - 1].receive()
+            for s, source in enumerate(sources):  # a process is read only when its turn comes
+                heads[s] = source() if heads[s] is None else heads[s]
+                if isinstance(heads[s], tuple) and heads[s][:1] == (i,):
+                    break
+            else:  # a worker died: the other processes' results show which jobs it held
+                done = set()
+                for source, head in zip(sources, heads):
+                    while isinstance(head, tuple) and head:
+                        head = done.add(head[0]) or source()
+                missing = dict.fromkeys(jobs[j][1] for j in range(i, len(jobs)) if j not in done)
+                error = next(head for head in heads if isinstance(head, ChildProcessError))
+                raise ChildProcessError(f"{error}, so labels {', '.join(missing)} have no model")
+            (_, calls, outcome), heads[s] = heads[s], None
             for args in calls if on_epoch is not None else ():
                 on_epoch(label, *args)
             if isinstance(outcome, Exception):
@@ -121,25 +135,42 @@ def _train_configs(data, n: int, configs, on_epoch=None):
                 yield OvAModel(labels, models)
                 models = []
     finally:
+        if queue is not None:
+            os.close(queue)
         for worker in workers:
             worker.close()
 
 
-def _train_jobs(data, n: int, jobs) -> list:
-    """(``on_epoch`` arguments, model or exception) of each job, up to the first failure."""
+def _job_queue(count: int):
+    """The read end of a pipe holding the job indices 0 .. count - 1 as 2-byte records, or
+    None when they overflow it or 2 bytes: written before any fork, they must never block."""
+    import fcntl  # only here: where it is missing, nothing forks
+    read_end, write_end = os.pipe()
+    with open(write_end, "wb", buffering=0) as queue:
+        if 2 * count <= min(fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ), 2 ** 17):
+            queue.write(b"".join(i.to_bytes(2, "little") for i in range(count)))
+            return read_end
+    os.close(read_end)
+
+
+def _train_jobs(data, n: int, jobs, pulls) -> list:
+    """(index, ``on_epoch`` arguments, model or exception) of each job pulled, up to the
+    first failure, then ().  A failure empties the queue: no process starts another job."""
     results = []
-    for config, label in jobs:
+    for i in pulls:
+        config, label = jobs[i]
         binary = [(x, 1 if tag == label else -1) for x, tag in data]
         label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
         calls = []
         try:
-            results.append((calls, train_binary(binary, n, label_config,
-                                                 on_epoch=lambda *args: calls.append(args))))
-        except ConfigError as exc:
-            return results + [(calls, ConfigError(f"label {label}: {exc}"))]
+            results.append((i, calls, train_binary(binary, n, label_config,
+                                                    on_epoch=lambda *args: calls.append(args))))
         except Exception as exc:  # raised in job order, also from a worker
-            return results + [(calls, sendable(exc, f"label {label}: training"))]
-    return results
+            list(pulls)
+            return results + [(i, calls, ConfigError(f"label {label}: {exc}")
+                               if isinstance(exc, ConfigError)
+                               else sendable(exc, f"label {label}: training")), ()]
+    return results + [()]
 
 
 def write_ova_model(fh, model: OvAModel) -> None:

@@ -113,10 +113,12 @@ def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
 def _epoch(model: FMModel, data, order, config: TrainConfig, binary: bool) -> float:
     """SGD updates on the pairs ``data[t]``, ``t`` in ``order``, checked against ``model.n``
     and the label rule; returns the sum of the pre-update losses.  ``binary`` (all values
-    1.0) skips the exact products by 1.0.  In place or not, every update keeps the module
-    docstring's operands, order and reductions (``a.dot(b)`` is ``a @ b``): same bits."""
+    1.0) skips the exact products by 1.0.  Every update keeps the module docstring's operands,
+    order and reductions (``a.dot(b)`` is ``a @ b``): the same bits with the rate, decays and
+    slope as 0-d float64 arrays, V's rows written through a row view, squares summed raveled."""
     w, V, w0, k = model.w, model.V, model.w0, model.k
-    lr, reg_w, reg_v, loss_kind = config.learning_rate, config.reg_w, config.reg_v, config.loss
+    lr, reg_w, reg_v, g = map(np.array, (config.learning_rate, config.reg_w, config.reg_v, 0.0))
+    rows = V.view(np.dtype((np.void, 8 * k))).reshape(-1) if k else None  # V is C-ordered
     total = 0.0
     for t in order:
         x, y = data[t]
@@ -129,19 +131,20 @@ def _epoch(model: FMModel, data, order, config: TrainConfig, binary: bool) -> fl
             per_factor = np.add.reduce(scaled, 0)
             if idx.size > 1:  # a lone feature's interaction stays exactly 0, as in _Batch
                 score += 0.5 * (float(per_factor.dot(per_factor))
-                                - float(np.add.reduce(scaled * scaled, None)))
-        loss, g = _loss_and_slope(loss_kind, score, y)
+                                - float(np.add.reduce((scaled * scaled).ravel())))
+        loss, slope = _loss_and_slope(config.loss, score, y)
         total += loss
-        w0 -= lr * g
+        w0 -= config.learning_rate * slope
+        g[()] = slope
         w[idx] = w_act - lr * ((g if binary else g * vals) + reg_w * w_act)
-        if k and (g != 0.0 or reg_v != 0.0):  # hinge past the margin has g = 0: decay only
+        if k and (slope != 0.0 or config.reg_v != 0.0):  # g = 0 past the hinge margin: decay only
             step = reg_v * V_act
-            if g != 0.0:
+            if slope != 0.0:
                 grad = (per_factor - V_act if binary
                         else vals[:, None] * per_factor[None, :] - scaled * vals[:, None])
                 np.add(step, np.multiply(grad, g, grad), step)
             np.multiply(step, lr, step)
-            V[idx] = np.subtract(V_act, step, step)
+            rows.put(idx, np.subtract(V_act, step, step).view(rows.dtype))
     model.w0 = w0
     return total
 

@@ -431,16 +431,24 @@ def test_bad_out_is_config_error_before_any_work(pipeline, tmp_path, command):
 
 
 def test_dead_training_worker_is_one_line(pipeline, tmp_path):
-    # at 2 usable CPUs the caller trains O and a forked worker PER; the worker dies
+    # at 2 usable CPUs the caller and a forked worker each start one of the labels O and
+    # PER; the worker records its label and dies, so the error names that label
+    died = tmp_path / "died"
     script = (
-        "import os, sys\n"
+        "import os, sys, time\n"
         "from fmnec import cli, multiclass\n"
+        "from fmnec.util import derive_seed\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "caller, real = os.getpid(), multiclass.train_binary\n"
-        "def train_binary(*args, **kwargs):\n"
+        "labels = {derive_seed(42, 'ova-label', tag): tag for tag in ('O', 'PER')}\n"
+        "def train_binary(data, n, config, on_epoch=None):\n"
         "    if os.getpid() != caller:\n"
+        f"        open({str(died)!r}, 'w').write(labels[config.seed])\n"
         "        os._exit(3)\n"
-        "    return real(*args, **kwargs)\n"
+        "    deadline = time.monotonic() + 10\n"
+        f"    while not os.path.exists({str(died)!r}) and time.monotonic() < deadline:\n"
+        "        time.sleep(0.005)\n"
+        "    return real(data, n, config, on_epoch=on_epoch)\n"
         "multiclass.train_binary = train_binary\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
@@ -453,7 +461,8 @@ def test_dead_training_worker_is_one_line(pipeline, tmp_path):
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
     assert [line for line in result.stderr.splitlines() if "mean loss" not in line] == [
-        "error: the training worker for labels PER exited with code 3 before sending its results"
+        "error: a training worker exited with code 3 before sending its results, "
+        f"so labels {died.read_text()} have no model"
     ]
     assert not out.exists()
 

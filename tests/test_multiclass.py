@@ -1,5 +1,8 @@
+import fcntl
 import multiprocessing
 import os
+import resource
+import signal
 import subprocess
 import sys
 import time
@@ -316,26 +319,37 @@ def sweep_recorded(monkeypatch, data, dev, n, k_values, config):
     return results, scored
 
 
-def patch_train_binary(monkeypatch, config, effects, where="worker"):
-    """Run ``effects[label](on_epoch)`` before training that label ``where``
-    ("caller", "worker" or "anywhere"); record the labels the caller trains."""
+def patch_train_binary(monkeypatch, log, config, effects, where="worker", meet=0):
+    """Run ``effects[label](on_epoch)`` before training that label ``where`` ("caller",
+    "worker" or "anywhere").  Every process appends a line to the file ``log`` for each job it
+    starts; the function returned reads them back as (``where``, pid, label, k) in the order
+    of each process.  With ``meet`` processes, the first job of each waits until that many
+    have started one, so that every process trains at least one job."""
     real = multiclass.train_binary
     caller = os.getpid()
-    by_seed = {derive_seed(config.seed, "ova-label", label): (label, effect)
-               for label, effect in effects.items()}
-    trained_here = []
+    by_seed = {derive_seed(config.seed, "ova-label", f"T{i}"): f"T{i}" for i in range(10)}
+
+    def trained():
+        lines = log.read_text().splitlines() if log.exists() else []
+        return [(here, int(pid), label, int(k)) for here, pid, label, k in map(str.split, lines)]
 
     def train_binary(data, n, label_config, on_epoch=None):
-        label, effect = by_seed.get(label_config.seed, (None, None))
-        if os.getpid() == caller:
-            trained_here.append(label)
+        label = by_seed.get(label_config.seed)
         here = "caller" if os.getpid() == caller else "worker"
+        with open(log, "a") as fh:  # one short append: lines of different processes never mix
+            fh.write(f"{here} {os.getpid()} {label} {label_config.k}\n")
+        if [pid for _, pid, _, _ in trained()].count(os.getpid()) == 1:
+            deadline = time.monotonic() + 10
+            while len({pid for _, pid, _, _ in trained()}) < meet:
+                assert time.monotonic() < deadline, f"{meet} processes did not start a job in 10 s"
+                time.sleep(0.005)
+        effect = effects.get(label)
         if effect is not None and where in ("anywhere", here):
             effect(on_epoch)
         return real(data, n, label_config, on_epoch=on_epoch)
 
     monkeypatch.setattr(multiclass, "train_binary", train_binary)
-    return trained_here
+    return trained
 
 
 def train_without_fork(data, n, config):
@@ -390,12 +404,12 @@ class TestParallelTraining:
         assert serial[0].startswith("label ENT: training diverged at epoch 1")
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_first_failure_in_label_order_raises(self, monkeypatch, forks, cpus):
+    def test_first_failure_in_label_order_raises(self, monkeypatch, forks, tmp_path, cpus):
         # T1 and T2 both fail, in the caller or in different workers; T1's
         # error wins, after T0's two epochs and the one epoch T1 reported
         config = cfg(epochs=2)
         effects = {"T1": raising(ConfigError("one")), "T2": raising(ValueError("two"))}
-        patch_train_binary(monkeypatch, config, effects, where="anywhere")
+        patch_train_binary(monkeypatch, tmp_path / "log", config, effects, where="anywhere")
         usable_cpus(monkeypatch, cpus)
         calls = []
         with pytest.raises(ConfigError, match="^label T1: one$"):
@@ -403,12 +417,19 @@ class TestParallelTraining:
         assert [(label, epoch) for label, epoch, _ in calls] == [("T0", 0), ("T0", 1), ("T1", 0)]
         assert_reaped(forks, min(cpus, 4) - 1)
 
-    def test_caller_trains_every_stride_of_labels(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_every_job_is_trained_once(self, monkeypatch, forks, tmp_path, cpus):
+        # 6 (k, label) jobs; every process takes at least one, the rest as it finishes
         config = cfg(epochs=1)
-        trained_here = patch_train_binary(monkeypatch, config, {f"T{i}": None for i in range(5)})
-        usable_cpus(monkeypatch, 2)
-        train_ova(tagged(5), 12, config)
-        assert trained_here == ["T0", "T2", "T4"]
+        workers = min(cpus, 6) - 1
+        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, {}, meet=workers + 1)
+        usable_cpus(monkeypatch, cpus)
+        sweep_k(tagged(3, size=60), tagged(3, size=30, seed=1), 12, [0, 2], config)
+        jobs = trained()
+        assert sorted((label, k) for _, _, label, k in jobs) == [
+            (f"T{i}", k) for i in range(3) for k in (0, 2)]
+        assert len({pid for _, pid, _, _ in jobs}) == workers + 1
+        assert_reaped(forks, workers)
 
     @pytest.mark.parametrize("k_values", [[0, 5, 16], [16, 0]])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -448,17 +469,50 @@ class TestParallelTraining:
         assert_reaped(forks, min(cpus, 4) - 1)
 
     @pytest.mark.parametrize("serial", ["one cpu", "one label", "no sched_getaffinity"])
-    def test_serial_cases_start_no_process(self, monkeypatch, serial):
+    def test_serial_cases_start_no_process(self, monkeypatch, tmp_path, serial):
         config = cfg(epochs=1)
         labels = 1 if serial == "one label" else 3
-        trained_here = patch_train_binary(monkeypatch, config, {f"T{i}": None for i in range(3)})
+        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, {})
         if serial == "no sched_getaffinity":
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             usable_cpus(monkeypatch, 1 if serial == "one cpu" else 4)
         monkeypatch.setattr(os, "fork", None)  # starting a process would fail
         train_ova(tagged(labels), 12, config)
-        assert trained_here == [f"T{i}" for i in range(labels)]
+        assert [(here, label) for here, _, label, _ in trained()] == [
+            ("caller", f"T{i}") for i in range(labels)]
+
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_job_records_that_overflow_the_pipe_train_in_this_process(self, monkeypatch, forks,
+                                                                      fits):
+        # the job indices go into the queue before any fork, so that write must not
+        # block: with pipes of one page, 2-byte records for one job too many stay here
+        real_pipe = os.pipe
+
+        def pipe():  # the kernel rounds a pipe's size up to whole pages
+            read_end, write_end = real_pipe()
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1)
+            return read_end, write_end
+
+        def train_binary(data, n, config, on_epoch=None):
+            return FMModel(0.0, np.zeros(n), np.zeros((n, config.k)))
+
+        def blocked(signum, frame):
+            raise TimeoutError("the write of the job queue blocked")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(multiclass, "train_binary", train_binary)
+        usable_cpus(monkeypatch, 2)
+        count = resource.getpagesize() // 2 + (0 if fits else 1)
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(10)
+        try:
+            models = list(multiclass._train_configs(tagged(1, size=2), 12, [cfg(epochs=1)] * count))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(models) == count
+        assert_reaped(forks, 1 if fits else 0)
 
     @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # the Pool's own fork
     def test_daemonic_caller_trains_serially(self, monkeypatch):
@@ -471,13 +525,19 @@ class TestParallelTraining:
             model = pool.apply(train_without_fork, (data, 2, config))
         assert model == train_ova(data, 2, config)
 
-    def test_no_worker_outlives_an_interrupt_in_the_caller(self, monkeypatch, forks):
-        # the caller's first label is interrupted while the workers train theirs,
-        # one of them for a minute: train_ova ends both workers and returns at once
+    def test_no_worker_outlives_an_interrupt_in_the_caller(self, monkeypatch, forks, tmp_path):
+        # the caller's first job is interrupted while both workers train theirs for a
+        # minute: train_ova ends both workers and returns at once
+        caller = os.getpid()
+
+        def effect(on_epoch):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
         config = cfg(epochs=1)
-        interrupt = {"T0": raising(KeyboardInterrupt())}
-        patch_train_binary(monkeypatch, config, interrupt, where="caller")
-        patch_train_binary(monkeypatch, config, {"T1": lambda on_epoch: time.sleep(60)})
+        effects = {f"T{i}": effect for i in range(3)}
+        patch_train_binary(monkeypatch, tmp_path / "log", config, effects, "anywhere", meet=3)
         usable_cpus(monkeypatch, 3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -485,10 +545,11 @@ class TestParallelTraining:
         assert time.monotonic() - start < 20
         assert_reaped(forks, 2)
 
-    def test_worker_exception_comes_back_whole(self, monkeypatch, forks, capfd):
+    def test_worker_exception_comes_back_whole(self, monkeypatch, forks, capfd, tmp_path):
         config = cfg(epochs=1)
-        effects = {"T1": raising(DimensionMismatchError("feature index 99 out of range for n=12"))}
-        patch_train_binary(monkeypatch, config, effects)
+        error = DimensionMismatchError("feature index 99 out of range for n=12")
+        effects = {f"T{i}": raising(error) for i in range(2)}  # whichever the worker trains
+        patch_train_binary(monkeypatch, tmp_path / "log", config, effects, meet=2)
         usable_cpus(monkeypatch, 2)
         message = "^feature index 99 out of range for n=12$"
         with pytest.raises(DimensionMismatchError, match=message):
@@ -500,10 +561,10 @@ class TestParallelTraining:
                              ids=["unpicklable", "not-unpicklable"])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_unsendable_exception_is_one_stated_error_at_any_cpu_count(self, monkeypatch, forks,
-                                                                       capfd, cpus, exc):
-        # T1 trains in the caller at 1 CPU and in the worker at 2
+                                                                       capfd, tmp_path, cpus, exc):
+        # T1 trains in the caller at 1 CPU, and in either process at 2
         config = cfg(epochs=1)
-        patch_train_binary(monkeypatch, config, {"T1": raising(exc)}, where="anywhere")
+        patch_train_binary(monkeypatch, tmp_path / "log", config, {"T1": raising(exc)}, "anywhere")
         usable_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError) as err:
             train_ova(tagged(3), 12, config)
@@ -513,16 +574,31 @@ class TestParallelTraining:
         assert "Traceback" not in capfd.readouterr().err
         assert_reaped(forks, cpus - 1)
 
-    def test_dead_worker_names_its_labels_and_exit_code(self, monkeypatch, forks, capfd):
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_dead_worker_names_the_labels_no_process_delivered(self, monkeypatch, forks, capfd,
+                                                               tmp_path, cpus):
+        # the first worker to start a job dies in it; the caller and any other worker
+        # deliver every other job, so the error names that job's label alone
+        def die(on_epoch):
+            try:
+                fd = os.open(tmp_path / "died", os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                return
+            os.write(fd, str(os.getpid()).encode())
+            os._exit(3)
+
         config = cfg(epochs=1)
-        patch_train_binary(monkeypatch, config, {"T1": lambda on_epoch: os._exit(3)})
-        usable_cpus(monkeypatch, 2)
-        message = ("^the training worker for labels T1, T3 exited with code 3 "
-                   "before sending its results$")
-        with pytest.raises(ChildProcessError, match=message):
-            train_ova(tagged(4), 12, config)
+        effects = {f"T{i}": die for i in range(4)}
+        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, effects, meet=cpus)
+        usable_cpus(monkeypatch, cpus)
+        with pytest.raises(ChildProcessError) as err:
+            sweep_k(tagged(4), tagged(4, seed=1), 12, [0, 2], config)
+        dead = int((tmp_path / "died").read_text())
+        [(label, k)] = [(label, k) for _, pid, label, k in trained() if pid == dead]
+        assert str(err.value) == ("a training worker exited with code 3 before sending its "
+                                  f"results, so labels {label} have no model")
         assert capfd.readouterr().err == ""
-        assert_reaped(forks, 1)
+        assert_reaped(forks, cpus - 1)
 
     def test_fork_warning_of_python_3_12_is_silenced(self, monkeypatch):
         # Python >= 3.12 warns from os.fork when the process has other threads

@@ -14,6 +14,7 @@ from fmnec import (
     sgd_step,
     train_binary,
 )
+from fmnec import train
 from fmnec.train import _loss_and_slope
 from fmnec.util import derive_seed
 
@@ -198,6 +199,33 @@ class TestSgdStep:
         m = FMModel(0.0, [0.0], [[0.0]])
         with pytest.raises(DimensionMismatchError):
             sgd_step(m, (SparseVector([5], [1.0]), 1), cfg())
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["real", "binary"])
+    def test_fortran_ordered_factors_train_to_the_same_bits(self, monkeypatch, binary):
+        # the trainer writes V by whole rows, which FMModel keeps C-ordered whatever the
+        # order of the array it is given
+        rng = np.random.default_rng(4)
+        config = cfg(k=3, reg_w=1e-2, reg_v=1e-2, epochs=2, loss="logistic")
+        data = [(random_instance(rng, 12, 6, min_nnz=2, binary=binary), int(rng.choice([-1, 1])))
+                for _ in range(30)]
+
+        def fortran(model):
+            return FMModel(model.w0, model.w, np.asfortranarray(model.V))
+
+        def bits(model):
+            return np.float64(model.w0).tobytes(), model.w.tobytes(), model.V.tobytes()
+
+        c_model = random_model(rng, 12, 3)
+        f_model = fortran(c_model)
+        assert f_model.V.flags.c_contiguous
+        for inst in data:
+            sgd_step(c_model, inst, config)
+            sgd_step(f_model, inst, config)
+        assert bits(f_model) == bits(c_model)
+        expected = train_binary(data, 12, config)
+        real = train.init_model
+        monkeypatch.setattr(train, "init_model", lambda n, config: fortran(real(n, config)))
+        assert bits(train_binary(data, 12, config)) == bits(expected)
 
     # each check runs on real values and on binary instances (all values 1.0),
     # which take the trainer's branch without the products by the values
