@@ -113,7 +113,9 @@ def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
     xs = [x for x, _ in dev]
     gold = [tag for _, tag in dev]
     with closing(_train_configs(train, n, configs)) as models:
-        f1 = {model.k: evaluate(gold, model.predict_label(xs)).micro.f1 for model in models}
+        # map keeps no model between calls: each k's is freed before the next k's arrive
+        f1 = dict(map(lambda model: (model.k, evaluate(gold, model.predict_label(xs)).micro.f1),
+                      models))
     return [(k_config.k, f1[k_config.k]) for k_config in configs]
 
 

@@ -1,9 +1,12 @@
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fmnec import ConfigError, TrainConfig, evaluate, pr_curve, sweep_k
+from fmnec import ConfigError, OvAModel, TrainConfig, evaluate, pr_curve, sweep_k
 from fmnec.evaluate import (
     format_confusion_tsv,
     format_pr_curve_tsv,
@@ -12,7 +15,7 @@ from fmnec.evaluate import (
     format_sweep_tsv,
 )
 
-from helpers import make_xor_tagged
+from helpers import make_xor_tagged, usable_cpus
 
 
 class TestEvaluate:
@@ -162,6 +165,22 @@ class TestSweepK:
     def test_result_per_k_in_input_order(self):
         results = sweep_k(self.train, self.dev, 2, [2, 0], self.config)
         assert [k for k, _ in results] == [2, 0]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_scored_k_is_freed_before_the_next_is_built(self, monkeypatch, cpus):
+        # a scored model kept alive while the next k's models arrive raises the peak memory
+        built = []
+        real = OvAModel.__post_init__
+
+        def post_init(model):
+            real(model)
+            assert [ref() for ref in built] == [None] * len(built), "a scored k is still alive"
+            built.append(weakref.ref(model))
+
+        monkeypatch.setattr(OvAModel, "__post_init__", post_init)
+        usable_cpus(monkeypatch, cpus)
+        sweep_k(self.train, self.dev, 2, [0, 2, 4], replace(self.config, epochs=2))
+        assert len(built) == 3
 
     def test_rejects_empty_and_negative(self):
         with pytest.raises(ConfigError):
