@@ -106,16 +106,14 @@ def sweep_configs(k_values, config) -> list:
 
 
 def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
-    """Dev micro-F1 per factorization dimension, in ``k_values`` order, other config
-    fields fixed; all (k, label) jobs train in one run, each k scored once trained."""
+    """Dev micro-F1 per factorization dimension, in ``k_values`` order, other config fields
+    fixed; all (k, label) jobs train in one run, each k scored once trained and then freed."""
     configs = sweep_configs(k_values, config)
     dev = list(dev)
     xs = [x for x, _ in dev]
     gold = [tag for _, tag in dev]
-    with closing(_train_configs(train, n, configs)) as models:
-        # map keeps no model between calls: each k's is freed before the next k's arrive
-        f1 = dict(map(lambda model: (model.k, evaluate(gold, model.predict_label(xs)).micro.f1),
-                      models))
+    with closing(_train_configs(train, n, configs)) as models:  # map holds none between k's
+        f1 = dict(map(lambda m: (m.k, evaluate(gold, m.predict_label(xs)).micro.f1), models))
     return [(k_config.k, f1[k_config.k]) for k_config in configs]
 
 
