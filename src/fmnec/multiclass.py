@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import os
 from dataclasses import dataclass, field, replace
 
@@ -107,25 +108,22 @@ def _train_configs(data, n: int, configs, on_epoch=None):
     pulls = iter(range(len(jobs))) if queue is None else (
         int.from_bytes(record, "little") for record in iter(lambda: os.read(queue, 2), b""))
     try:
+        def results(worker):  # its results, each read when the merge needs it; its death, kept
+            try:
+                yield from iter(worker.receive, ())
+            except ChildProcessError as error:
+                errors.append(error)
         while queue is not None and len(workers) < W - 1:
             workers.append(Forked("a training worker", _train_jobs, data, n, jobs, pulls))
-        # own results are popped, so that a model the consumer drops is freed
-        sources = [_train_jobs(data, n, jobs, pulls)[::-1].pop, *(w.receive for w in workers)]
-        heads, models = [None] * len(sources), []  # each process's next result; () after its last
+        errors, models = [], []
+        own = _train_jobs(data, n, jobs, pulls)[::-1]  # popped: a model the consumer drops is freed
+        merged = heapq.merge(iter(own.pop, ()), *map(results, workers), key=lambda r: r[0])
         for i, (_, label) in enumerate(jobs):
-            for s, source in enumerate(sources):  # a process is read only when its turn comes
-                heads[s] = source() if heads[s] is None else heads[s]
-                if isinstance(heads[s], tuple) and heads[s][:1] == (i,):
-                    break
-            else:  # a worker died: the other processes' results show which jobs it held
-                done = set()
-                for source, head in zip(sources, heads):
-                    while isinstance(head, tuple) and head:
-                        head = done.add(head[0]) or source()
-                missing = dict.fromkeys(jobs[j][1] for j in range(i, len(jobs)) if j not in done)
-                error = next(head for head in heads if isinstance(head, ChildProcessError))
-                raise ChildProcessError(f"{error}, so labels {', '.join(missing)} have no model")
-            (_, calls, outcome), heads[s] = heads[s], None
+            index, calls, outcome = next(merged, (None, None, None))
+            if index != i:  # a worker died: the results still to come show what was delivered
+                done = {index, *(result[0] for result in merged)}
+                lost = dict.fromkeys(jobs[j][1] for j in range(i, len(jobs)) if j not in done)
+                raise ChildProcessError(f"{errors[0]}, so labels {', '.join(lost)} have no model")
             for args in calls if on_epoch is not None else ():
                 on_epoch(label, *args)
             if isinstance(outcome, Exception):
@@ -154,8 +152,7 @@ def _job_queue(count: int):
 
 
 def _train_jobs(data, n: int, jobs, pulls) -> list:
-    """(index, ``on_epoch`` arguments, model or exception) of each job pulled, up to the
-    first failure, then ().  A failure empties the queue: no process starts another job."""
+    """(index, ``on_epoch`` calls, outcome) of each job pulled, to the first failure; then ()."""
     results = []
     for i in pulls:
         config, label = jobs[i]
@@ -166,10 +163,9 @@ def _train_jobs(data, n: int, jobs, pulls) -> list:
             results.append((i, calls, train_binary(binary, n, label_config,
                                                     on_epoch=lambda *args: calls.append(args))))
         except Exception as exc:  # raised in job order, also from a worker
-            list(pulls)
-            return results + [(i, calls, ConfigError(f"label {label}: {exc}")
-                               if isinstance(exc, ConfigError)
-                               else sendable(exc, f"label {label}: training")), ()]
+            list(pulls)  # a failure empties the queue: no process starts another job
+            error = ConfigError(f"label {label}: {exc}") if isinstance(exc, ConfigError) else exc
+            return results + [(i, calls, sendable(error, f"label {label}: training")), ()]
     return results + [()]
 
 

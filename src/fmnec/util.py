@@ -194,16 +194,16 @@ class Forked:
         self.reader = open(read_end, "rb")
 
     def receive(self):
-        """The next item (no copy beyond its arrays), or the error of a child that died first."""
+        """The next item, read with no copy beyond the arrays it holds."""
         try:
             return pickle.load(self.reader)
         except (EOFError, pickle.UnpicklingError):
             self.reader.close()
             self.status = os.waitpid(self.pid, 0)[1]
-            return ChildProcessError(
+            raise ChildProcessError(
                 f"{self.what} exited with code {os.waitstatus_to_exitcode(self.status)} "
                 "before sending its results"
-            )
+            ) from None
 
     def close(self) -> None:
         if self.status is None:  # not reaped, so the pid is still this child's

@@ -405,17 +405,40 @@ class TestParallelTraining:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_first_failure_in_label_order_raises(self, monkeypatch, forks, tmp_path, cpus):
-        # T1 and T2 both fail, in the caller or in different workers; T1's
-        # error wins, after T0's two epochs and the one epoch T1 reported
+        # cpus + 1 labels, so the caller has a second job, which fails at once. With meet,
+        # the processes' first jobs are the first cpus labels; each worker fails in its first
+        # once the caller has started its second, so a later failure in the caller comes
+        # first in time. The lowest failing label wins, after the two epochs of every label
+        # before it and the one epoch it reported.
+        caller = os.getpid()
+
+        def fail(on_epoch):
+            deadline = time.monotonic() + 10
+            while os.getpid() != caller and [p for _, p, _, _ in trained()].count(caller) < 2:
+                assert time.monotonic() < deadline, "the caller did not start a second job"
+                time.sleep(0.005)
+            if os.getpid() != caller:
+                raising(ConfigError("one"))(on_epoch)
+            if [p for _, p, _, _ in trained()].count(caller) == 2:
+                raising(ValueError("two"))(on_epoch)
+
         config = cfg(epochs=2)
-        effects = {"T1": raising(ConfigError("one")), "T2": raising(ValueError("two"))}
-        patch_train_binary(monkeypatch, tmp_path / "log", config, effects, where="anywhere")
+        effects = {f"T{i}": fail for i in range(cpus + 1)}
+        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, effects, "anywhere",
+                                     meet=cpus)
         usable_cpus(monkeypatch, cpus)
         calls = []
-        with pytest.raises(ConfigError, match="^label T1: one$"):
-            train_ova(tagged(4), 12, config, on_epoch=lambda *args: calls.append(args))
-        assert [(label, epoch) for label, epoch, _ in calls] == [("T0", 0), ("T0", 1), ("T1", 0)]
-        assert_reaped(forks, min(cpus, 4) - 1)
+        with pytest.raises(ValueError) as err:
+            train_ova(tagged(cpus + 1), 12, config, on_epoch=lambda *args: calls.append(args))
+        workers = sorted(label for here, _, label, _ in trained() if here == "worker")
+        assert len(workers) == cpus - 1  # one job each: the one that failed
+        assert [here for here, _, _, _ in trained()].count("caller") == 2
+        first = workers[0] if workers else "T1"
+        expected = ConfigError(f"label {first}: one") if workers else ValueError("two")
+        assert (type(err.value), str(err.value)) == (type(expected), str(expected))
+        before = [(f"T{i}", epoch) for i in range(int(first[1:])) for epoch in (0, 1)]
+        assert [(label, epoch) for label, epoch, _ in calls] == before + [(first, 0)]
+        assert_reaped(forks, cpus - 1)
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_every_job_is_trained_once(self, monkeypatch, forks, tmp_path, cpus):
@@ -562,14 +585,19 @@ class TestParallelTraining:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_unsendable_exception_is_one_stated_error_at_any_cpu_count(self, monkeypatch, forks,
                                                                        capfd, tmp_path, cpus, exc):
-        # T1 trains in the caller at 1 CPU, and in either process at 2
+        # every label raises in the caller at 1 CPU, and in the worker at 2: with meet, the
+        # worker starts one of the first two labels and fails there; the caller raises nothing
         config = cfg(epochs=1)
-        patch_train_binary(monkeypatch, tmp_path / "log", config, {"T1": raising(exc)}, "anywhere")
+        where = "caller" if cpus == 1 else "worker"
+        effects = {f"T{i}": raising(exc) for i in range(3)}
+        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, effects, where,
+                                     meet=cpus)
         usable_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError) as err:
             train_ova(tagged(3), 12, config)
+        [label] = [label for here, _, label, _ in trained() if here == where]
         assert type(err.value) is RuntimeError
-        assert str(err.value) == (f"label T1: training raised {type(exc).__name__}, "
+        assert str(err.value) == (f"label {label}: training raised {type(exc).__name__}, "
                                   f"which cannot be sent between processes: {exc}")
         assert "Traceback" not in capfd.readouterr().err
         assert_reaped(forks, cpus - 1)
