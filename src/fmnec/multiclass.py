@@ -117,11 +117,11 @@ def _train_configs(data, n: int, configs, on_epoch=None):
             workers.append(Forked("a training worker", _train_jobs, data, n, jobs, pulls))
         errors, models = [], []
         own = _train_jobs(data, n, jobs, pulls)[::-1]  # popped: a model the consumer drops is freed
-        merged = heapq.merge(iter(own.pop, ()), *map(results, workers), key=lambda r: r[0])
+        merged = heapq.merge(*map(results, workers), key=lambda r: r[0])  # read for jobs not in own
         for i, (_, label) in enumerate(jobs):
-            index, calls, outcome = next(merged, (None, None, None))
+            index, calls, outcome = own.pop() if own[-1][:1] == (i,) else next(merged, (None,) * 3)
             if index != i:  # a worker died: the results still to come show what was delivered
-                done = {index, *(result[0] for result in merged)}
+                done = {index, *(result[0] for result in merged), *(mine[0] for mine in own[1:])}
                 lost = dict.fromkeys(jobs[j][1] for j in range(i, len(jobs)) if j not in done)
                 raise ChildProcessError(f"{errors[0]}, so labels {', '.join(lost)} have no model")
             for args in calls if on_epoch is not None else ():
