@@ -38,6 +38,12 @@ COMMANDS = [
     ["sweep-k", "--train", "prepared/train.candidates.tsv",
      "--dev", "prepared/dev.candidates.tsv", "--k-values", "0,5,16", *TRAIN,
      "--out", "sweep.tsv"],
+    # scoring on more candidates than one step of the batch vectorizer takes
+    ["prepare", "--train", "large.txt", "--out", "large"],
+    ["predict", "--model", "hinge5/ova_model.txt", "--space", "hinge5/feature_space.txt",
+     "--candidates", "large/train.candidates.tsv", "--out", "large_predictions.tsv"],
+    ["eval", "--model", "logistic5/ova_model.txt", "--space", "logistic5/feature_space.txt",
+     "--candidates", "large/train.candidates.tsv", "--pr-curves", "--out", "large_eval"],
     # errors: a run that diverges (exit 1), a repeated k (exit 1), a bad line (exit 2)
     ["train", "--candidates", "prepared/train.candidates.tsv", *TRAIN, "--lr", "1e200",
      "--reg-w", "0", "--reg-v", "0", "--loss", "logistic", "--out", "diverged"],
@@ -56,7 +62,8 @@ def run_commands(root: Path, capfd) -> dict:
     directory ``root``, then the digest of every file the commands wrote there."""
     next_id = write_tagged_corpus(root / "train.txt", 240, seed=1)
     next_id = write_tagged_corpus(root / "dev.txt", 60, seed=2, start_id=next_id)
-    write_tagged_corpus(root / "test.txt", 60, seed=3, start_id=next_id)
+    next_id = write_tagged_corpus(root / "test.txt", 60, seed=3, start_id=next_id)
+    write_tagged_corpus(root / "large.txt", 2200, seed=4, start_id=next_id)
     (root / "bad.tsv").write_text("PER\tXq1\t\t\nLOC\tXq2\tin\n")
     inputs = set(os.listdir(root))
     logger = logging.getLogger("fmnec")
