@@ -39,9 +39,10 @@ from .evaluate import (
     sweep_k,
 )
 from .features import FeatureSpace
+from .fm import _Batch
 from .multiclass import load_ova_model, save_ova_model, train_ova
 from .train import LOSS_KINDS, TrainConfig
-from .util import G17, Forked, atomic_write, process_count, sendable
+from .util import G17, Forked, atomic_write, open_text, process_count, sendable
 
 log = logging.getLogger("fmnec")
 
@@ -118,7 +119,9 @@ def _read_candidates(path, need_gold=False):
     if not candidates:
         raise ConfigError(f"candidates file is empty: {path}")
     if need_gold and any(c.gold_tag is None for c in candidates):
-        raise DataFormatError("every candidate needs a gold tag here", path=str(path))
+        with open_text(path) as fh:  # the first untagged row: its tag field is empty
+            line = next(pos for pos, row in enumerate(fh, 1) if row.startswith("\t"))
+        raise DataFormatError("every candidate needs a gold tag here", path=str(path), line=line)
     return candidates
 
 
@@ -159,8 +162,8 @@ def _load_model(path) -> list:
 
 
 def _vectorized(space, candidates):
-    """The candidates' vectors and gold tags: all a command keeps of its candidates."""
-    return [space.vectorize_candidate(c) for c in candidates], [c.gold_tag for c in candidates]
+    """The candidates' batch and gold tags: all a command keeps of its candidates."""
+    return _Batch(*space.vectorize_batch(candidates)), [c.gold_tag for c in candidates]
 
 
 def _training_set(path):
@@ -168,7 +171,7 @@ def _training_set(path):
     the candidates are freed on return."""
     candidates = _read_candidates(path, need_gold=True)
     space = FeatureSpace.fit(candidates)
-    return space, list(zip(*_vectorized(space, candidates)))
+    return space, list(zip(space.vectorize_each(candidates), [c.gold_tag for c in candidates]))
 
 
 def cmd_prepare(args):
@@ -290,7 +293,7 @@ def cmd_sweep_k(args):
     config = _train_config(args, TrainConfig.k)
     sweep_configs(k_values, config)  # every config is checked before any input is read
     space, train = _training_set(args.train)
-    dev = list(zip(*_vectorized(space, _read_candidates(args.dev, need_gold=True))))
+    dev = _vectorized(space, _read_candidates(args.dev, need_gold=True))
     results = sweep_k(train, dev, len(space), k_values, config)
     with atomic_write(args.out) as fh:
         fh.write(format_sweep_tsv(results))

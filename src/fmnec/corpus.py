@@ -26,6 +26,7 @@ class Sentence:
     """One sentence as (surface, BIO tag) pairs."""
 
     tokens: list[tuple[str, str]]
+    _parsed = False  # True from parse_column_file alone: tags repaired, each token checked
 
     @property
     def words(self) -> list[str]:
@@ -63,6 +64,7 @@ def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[
             words = [word for word, _ in current]
             tags = (shared(tag, tag) for tag in repair_bio(tag for _, tag in current))
             sentences.append(Sentence(list(zip(words, tags))))
+            sentences[-1]._parsed = True
             current.clear()
 
     with open_text(path) as fh:
@@ -102,11 +104,10 @@ def extract_candidates(sentences) -> list[Candidate]:
     out = []
     shared = {}.setdefault  # one str per entity type, not one per span
     for sentence in sentences:
-        words = sentence.words
-        tags = repair_bio(sentence.tags)
-        # every sentence parse_column_file makes passes, so its candidates need
-        # no check; one built by hand that fails gets the public constructor's error
-        trusted = "B-" not in tags and first_bad_token(words + tags) is None
+        words, tags, trusted = sentence.words, sentence.tags, sentence._parsed
+        if not trusted:  # built by hand: one that fails gets the public constructor's error
+            tags = repair_bio(tags)
+            trusted = "B-" not in tags and first_bad_token(words + tags) is None
         build = Candidate._unchecked if trusted else Candidate
         pos = 0
         while pos < len(words):

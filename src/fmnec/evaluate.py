@@ -14,6 +14,7 @@ import numpy as np
 
 from .corpus import NEGATIVE_TAG
 from .errors import ConfigError
+from .fm import _Batch
 from .multiclass import _train_configs
 from .util import format_table
 
@@ -81,13 +82,13 @@ def pr_curve(scores) -> list[tuple[float, float]]:
     the curve is deterministic.
     """
     scores = list(scores)
-    total_pos = sum(1 for _, positive in scores if positive)
+    positive = np.array([bool(flag) for _, flag in scores], dtype=bool)
+    total_pos = int(positive.sum())
     if total_pos == 0:
         raise ConfigError("a precision-recall curve needs at least one positive instance")
-    ranked = sorted(range(len(scores)), key=lambda i: -scores[i][0])
-    tp = np.cumsum([bool(scores[i][1]) for i in ranked])
+    tp = np.cumsum(positive[np.argsort([-score for score, _ in scores], kind="stable")])
     # counts below 2**53 are exact in float64, so each ratio has int / int's bits
-    precision = tp / np.arange(1, len(ranked) + 1)
+    precision = tp / np.arange(1, len(scores) + 1)
     return list(zip(precision.tolist(), (tp / total_pos).tolist()))
 
 
@@ -107,11 +108,13 @@ def sweep_configs(k_values, config) -> list:
 
 def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
     """Dev micro-F1 per factorization dimension, in ``k_values`` order, other config fields
-    fixed; all (k, label) jobs train in one run, each k scored once trained and then freed."""
+    fixed; all (k, label) jobs train in one run, each k scored once trained and then freed.
+    ``dev`` holds (instance, tag) pairs, or is one pair of a ``_Batch`` and its tags."""
     configs = sweep_configs(k_values, config)
-    dev = list(dev)
-    xs = [x for x, _ in dev]
-    gold = [tag for _, tag in dev]
+    if not (isinstance(dev, tuple) and len(dev) == 2 and isinstance(dev[0], _Batch)):
+        dev = list(dev)
+        dev = _Batch.stack(x for x, _ in dev), [tag for _, tag in dev]  # stacked once
+    xs, gold = dev
     with closing(_train_configs(train, n, configs)) as models:  # map holds none between k's
         f1 = dict(map(lambda m: (m.k, evaluate(gold, m.predict_label(xs)).micro.f1), models))
     return [(k_config.k, f1[k_config.k]) for k_config in configs]

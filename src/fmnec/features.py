@@ -16,12 +16,15 @@ For one candidate the extractor emits:
 Character classes are judged per character over all span tokens joined
 (without the joining spaces), so digits and punctuation break the
 ``all-low``/``all-cap1`` predicates while ``.`` is admitted by ``all-cap2``.
+
+``FeatureSpace.vectorize_batch`` maps candidates straight to CSR arrays;
+``vectorize_each`` and ``vectorize_candidate`` are views of its rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -71,9 +74,9 @@ def extract_features(candidate: Candidate) -> set[str]:
     return feats
 
 
-def _context(candidate: Candidate):
+def _context(candidate: Candidate) -> tuple[str, ...]:
     """The candidate's context tokens, left then right: one bag of ``ctx=`` names."""
-    return chain(candidate.left_context, candidate.right_context)
+    return candidate.left_context + candidate.right_context
 
 
 _ctx_name = "ctx=".__add__  # the feature name of a context token
@@ -103,6 +106,8 @@ def _shape_names(shape) -> tuple[str, ...]:
 class FeatureSpace:
     """Frozen bijection between feature names and dense column indices."""
 
+    _CHUNK = 256  # candidates per step of vectorize_batch: its temporaries stay small
+
     def __init__(self, names):
         names = list(names)
         index = {name: pos for pos, name in enumerate(names)}
@@ -112,7 +117,6 @@ class FeatureSpace:
         self.index_to_name = names
         self._ones = np.ones(len(names))  # every vector's values are a slice of it
         self._ones.setflags(write=False)
-        self._shape_indices = {}  # _shape tuple -> indices of its known names
 
     @classmethod
     def fit(cls, candidates) -> "FeatureSpace":
@@ -137,25 +141,44 @@ class FeatureSpace:
     def vectorize(self, names) -> SparseVector:
         """Binary vector over the known names; unknown names are silently dropped."""
         index = self.name_to_index
-        return self._vector({index[nm] for nm in names if nm in index})
+        idx = np.array(sorted({index[nm] for nm in names if nm in index}), dtype=np.int64)
+        return SparseVector._unchecked(idx, self._ones[: idx.size])
 
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
-        """``vectorize(extract_features(candidate))``, looked up by token."""
-        get = self.name_to_index.get
-        found = set(map(get, map(_ctx_name, _context(candidate))))
-        shape = _shape(candidate.span_tokens)
-        known = self._shape_indices.get(shape)
-        if known is None:
-            known = self._shape_indices[shape] = [get(name) for name in _shape_names(shape)]
-        found.update(known)
-        found.discard(None)  # the unknown names
-        return self._vector(found)
+        """``vectorize(extract_features(candidate))``: the one-row ``vectorize_each``."""
+        return self.vectorize_each((candidate,))[0]
 
-    def _vector(self, indices) -> SparseVector:
-        # distinct indices in [0, len(self)), sorted here, and every value is
-        # 1.0: the vector's invariants hold by construction
-        idx = np.array(sorted(indices), dtype=np.int64)
-        return SparseVector._unchecked(idx, self._ones[: idx.size])
+    def vectorize_each(self, candidates) -> list[SparseVector]:
+        """Every candidate's vector, a read-only view of one ``vectorize_batch`` array."""
+        counts, indices = self.vectorize_batch(candidates)
+        ends = np.cumsum(counts).tolist()
+        ones = [self._ones[:size] for size in range(counts.max(initial=0) + 1)]  # shared
+        return [SparseVector._unchecked(indices[start:end], ones[end - start])
+                for start, end in zip([0, *ends], ends)]
+
+    def vectorize_batch(self, candidates) -> tuple[np.ndarray, np.ndarray]:
+        """The vectors of a sequence of candidates as CSR arrays: each row's nonzero count,
+        then every row's sorted distinct indices, concatenated (every value is 1.0), looked
+        up ``_CHUNK`` rows at a time."""
+        get, m = self.name_to_index.get, len(self) + 1  # m - 1 stands for an unknown name
+        shapes = {}  # _shape tuple -> its row in the table of its names' indices
+        counts, indices = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+        for start in range(0, len(candidates), self._CHUNK):
+            chunk = candidates[start : start + self._CHUNK]
+            contexts = list(map(_context, chunk))
+            ids = [shapes.setdefault(_shape(c.span_tokens), len(shapes)) for c in chunk]
+            table = np.array([[get(name, m - 1) for name in _shape_names(shape)]
+                              for shape in shapes])
+            found = np.fromiter(map(get, map(_ctx_name, chain.from_iterable(contexts)),
+                                    repeat(m - 1)), np.int64)
+            # entry (row, index) as row * m + index: one sort orders each row, repeats adjacent
+            offsets = np.arange(len(chunk)) * m
+            keys = np.sort(np.concatenate([np.repeat(offsets, list(map(len, contexts))) + found,
+                                           offsets[:, None] + table[ids]], axis=None))
+            keys = keys[(np.diff(keys, prepend=-1) > 0) & (keys % m < m - 1)]
+            counts.append(np.bincount(keys // m, minlength=len(chunk)))
+            indices.append(keys % m)
+        return np.concatenate(counts), np.concatenate(indices)
 
     def __len__(self) -> int:
         return len(self.index_to_name)

@@ -12,8 +12,8 @@ evaluates the interaction term through the factored identity
 
 touching only nonzero entries, so the cost is O(nnz * k) instead of
 quadratic in nnz.  The same identity scores a whole batch at once
-(``_Batch``): the nonzeros of every instance are stacked into flat arrays
-and summed per row with ``np.bincount``, so ``predict_raw`` and the
+(``_Batch``): CSR arrays, a row count per instance and every nonzero in one
+flat array, summed per row with ``np.bincount``, so ``predict_raw`` and the
 one-vs-all scorer share one kernel.  ``predict_raw_naive`` is the literal
 pairwise double loop, kept as an independent cross-check oracle.
 """
@@ -162,7 +162,7 @@ class FMModel:
 
     def predict_raw(self, x: SparseVector) -> float:
         """Raw score through the factored interaction identity, O(nnz * k)."""
-        return float(_Batch([x]).scores(self)[0])
+        return float(_Batch.stack([x]).scores(self)[0])
 
     def predict_raw_naive(self, x: SparseVector) -> float:
         """Raw score through the literal pairwise double loop (cross-check oracle)."""
@@ -195,37 +195,45 @@ def _check_dimension(top: int, n: int) -> None:
 
 
 class _Batch:
-    """Instances stacked once into flat arrays, scored against any model.
+    """Instances stacked once into flat CSR arrays, scored against any model.
 
-    Entry j is the nonzero ``values[j]`` of feature ``indices[j]`` in row
-    ``rows[j]``.  Every per-row sum is one ``np.bincount`` over ``rows``, so
-    empty rows score exactly ``w0`` and a single nonzero has an exactly-zero
-    interaction term.
+    Row r holds the next ``counts[r]`` entries; entry j is the nonzero ``values[j]`` of
+    feature ``indices[j]``, and ``values`` is None when every value is 1.0.  Every per-row
+    sum is one ``np.bincount`` over the entries' rows, so empty rows score exactly ``w0``
+    and a single nonzero has an exactly-zero interaction term.
     """
 
     __slots__ = ("size", "rows", "indices", "values", "top")
 
-    def __init__(self, xs):
+    def __init__(self, counts, indices, values=None):
+        self.size = len(counts)
+        self.rows = np.repeat(np.arange(self.size), counts)
+        self.indices = indices
+        self.values = values
+        self.top = int(indices.max()) if indices.size else -1
+
+    @classmethod
+    def stack(cls, xs) -> "_Batch":
+        """The batch of a sequence of ``SparseVector``."""
         xs = list(xs)
-        self.size = len(xs)
-        nnz = np.fromiter((x.nnz for x in xs), dtype=np.int64, count=self.size)
-        self.rows = np.repeat(np.arange(self.size), nnz)
-        self.indices = np.concatenate([x.indices for x in xs] or [np.empty(0, np.int64)])
-        self.values = np.concatenate([x.values for x in xs] or [np.empty(0)])
-        self.top = int(self.indices.max()) if self.indices.size else -1
+        return cls([x.nnz for x in xs],
+                   np.concatenate([x.indices for x in xs] or [np.empty(0, np.int64)]),
+                   np.concatenate([x.values for x in xs] or [np.empty(0)]))
 
     def _sum(self, weights) -> np.ndarray:
         return np.bincount(self.rows, weights=weights, minlength=self.size)
 
     def scores(self, model: FMModel) -> np.ndarray:
-        """Raw score of every row: w0 + <w, x> + 0.5 * sum_f [(XV)_f^2 - (X^2 V^2)_f]."""
+        """Raw score of every row: w0 + <w, x> + 0.5 * sum_f [(XV)_f^2 - (X^2 V^2)_f].  With
+        no values (all 1.0) the products by 1.0, which are exact, are skipped."""
         _check_dimension(self.top, model.n)
         idx, vals = self.indices, self.values
-        out = model.w0 + self._sum(model.w[idx] * vals)
+        out = model.w0 + self._sum(model.w[idx] if vals is None else model.w[idx] * vals)
         if model.k:
             pairs = np.zeros(self.size)
             for f in range(model.k):
-                column = model.V[idx, f] * vals
+                # a contiguous copy of the column gathers faster than V's strided one
+                column = model.V[:, f].copy()[idx] if vals is None else model.V[idx, f] * vals
                 total = self._sum(column)
                 pairs += total * total - self._sum(column * column)
             out += 0.5 * pairs

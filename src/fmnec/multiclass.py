@@ -45,7 +45,8 @@ class OvAModel:
         return self.models[0].k
 
     def predict_scores(self, xs) -> np.ndarray:
-        """Raw scores of a batch of instances, shape (len(xs), labels), columns in label order."""
+        """Raw scores of a batch of instances, ``SparseVector``s or one ``_Batch``, shape
+        (instances, labels), columns in label order."""
         return self._scores(xs)
 
     def predict_label(self, xs) -> list[str]:
@@ -60,7 +61,7 @@ class OvAModel:
     def _scores(self, xs) -> np.ndarray:
         # one body behind both public methods, so predict_label never runs
         # inside predict_scores (bench/layers.py times each as its own span)
-        batch = _Batch(xs)
+        batch = xs if isinstance(xs, _Batch) else _Batch.stack(xs)
         return np.stack([batch.scores(model) for model in self.models], axis=1)
 
     def __eq__(self, other):

@@ -329,6 +329,18 @@ class TestNonUtf8Input:
         assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("command", ["stats", "train", "sweep-k"])
+def test_untagged_candidate_is_reported_at_its_line(tmp_path, capsys, command):
+    path = tmp_path / "mixed.tsv"
+    path.write_text("PER\tAnna\tmr\t\n\nLOC\tRome\tin\t\n\tBonn\tin\t\nO\tThe\t\tday\n")
+    argv = {"stats": ["stats", str(path)],
+            "train": ["train", "--candidates", str(path), "--out", str(tmp_path / "m")],
+            "sweep-k": ["sweep-k", "--train", str(path), "--dev", str(path), "--k-values", "0",
+                        "--out", str(tmp_path / "s.tsv")]}[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:4: every candidate needs a gold tag here\n"
+
+
 def test_untyped_bio_tag_is_data_error(tmp_path):
     corpus = tmp_path / "f.txt"
     corpus.write_text("John NNP B-NP B-\n")
@@ -508,7 +520,10 @@ LOAD_ERRORS = {
     "bad candidates": ("model", "space", "bad_candidates", 2,
                        "{bad_candidates}:1: expected 4 tab-separated fields, got 2"),
     "no gold tags": ("model", "space", "untagged", 2,
-                     "{untagged}: every candidate needs a gold tag here"),
+                     "{untagged}:1: every candidate needs a gold tag here"),
+    "no gold tag after a blank line": ("model", "space", "late_untagged", 2,
+                                       "{late_untagged}:3: every candidate needs a gold tag "
+                                       "here"),
 }
 
 
@@ -525,6 +540,7 @@ class TestForkedLoader:
             "bad_model": "".join(lines), "bad_space": "a b\n", "small_space": "dummy\n",
             "bad_candidates": "only\ttwo\n", "empty": "",
             "untagged": "".join("\t".join(["", *row.split("\t")[1:]]) + "\n" for row in rows),
+            "late_untagged": f"{rows[0]}\n\n" + "\t".join(["", *rows[1].split("\t")[1:]]) + "\n",
         }
         for name, text in written.items():
             (tmp_path / name).write_text(text)
@@ -535,9 +551,10 @@ class TestForkedLoader:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("command, case", [
-        *((command, case) for case in LOAD_ERRORS if case != "no gold tags"
+        *((command, case) for case in LOAD_ERRORS if "no gold tag" not in case
           for command in ("predict", "eval")),
         ("eval", "no gold tags"),
+        ("eval", "no gold tag after a blank line"),
     ])
     def test_error_is_the_first_of_a_sequential_read(self, files, monkeypatch, forks, capfd,
                                                      tmp_path, cpus, command, case):

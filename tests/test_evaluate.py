@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmnec import ConfigError, OvAModel, TrainConfig, evaluate, pr_curve, sweep_k
+from fmnec.fm import _Batch
 from fmnec.evaluate import (
     format_confusion_tsv,
     format_pr_curve_tsv,
@@ -140,6 +141,17 @@ class TestPrCurve:
             f"{100.0 * r:.2f}\t{100.0 * p:.2f}\n" for p, r in expected
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False, width=16)
+                              | st.just(-0.0), st.booleans()), min_size=1, max_size=60))
+    def test_ranks_finite_scores_as_a_stable_sort_of_their_negations(self, scores):
+        # few distinct half-precision values, so many scores tie; -0.0 ties with 0.0
+        assume(any(flag for _, flag in scores))
+        ranked = sorted(range(len(scores)), key=lambda i: -scores[i][0])
+        tp = np.cumsum([scores[i][1] for i in ranked]).tolist()
+        total = sum(flag for _, flag in scores)
+        assert pr_curve(scores) == [(t / depth, t / total) for depth, t in enumerate(tp, 1)]
+
     def test_no_positives_rejected(self):
         with pytest.raises(ConfigError):
             pr_curve([(0.5, False)])
@@ -181,6 +193,24 @@ class TestSweepK:
         usable_cpus(monkeypatch, cpus)
         sweep_k(self.train, self.dev, 2, [0, 2, 4], replace(self.config, epochs=2))
         assert len(built) == 3
+
+    def test_dev_set_is_stacked_once_and_may_come_stacked(self, monkeypatch):
+        config = replace(self.config, epochs=20)
+        scored = []
+        real = OvAModel.predict_label
+
+        def predict_label(model, xs):
+            scored.append(xs)
+            return real(model, xs)
+
+        monkeypatch.setattr(OvAModel, "predict_label", predict_label)
+        results = sweep_k(self.train, self.dev, 2, [0, 2, 4], config)
+        assert len(scored) == 3 and all(xs is scored[0] for xs in scored)
+        assert isinstance(scored[0], _Batch)
+        xs = [x for x, _ in self.dev]
+        batch = _Batch(np.array([x.nnz for x in xs]), np.concatenate([x.indices for x in xs]))
+        stacked = sweep_k(self.train, (batch, [tag for _, tag in self.dev]), 2, [0, 2, 4], config)
+        assert stacked == results
 
     def test_rejects_empty_and_negative(self):
         with pytest.raises(ConfigError):

@@ -325,10 +325,57 @@ class TestTokenLookup:
         names = FeatureSpace.fit(training).index_to_name
         # fit's order and any order a loaded space file may have
         for space in (FeatureSpace(names), FeatureSpace(rnd.sample(names, len(names)))):
-            for c in (*training, *others, *training):  # the repeats reuse cached shapes
+            for c in (*training, *others, *training):  # the repeats look up again
                 assert space.vectorize_candidate(c) == space.vectorize(extract_features(c))
 
     @given(st.lists(lookup_candidates, min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_fit_is_the_sorted_union_of_the_names(self, cs):
         assert FeatureSpace.fit(cs) == FeatureSpace(sorted(set().union(*map(extract_features, cs))))
+
+
+# a context that repeats one of its tokens, or is empty on both sides
+repeating_candidates = st.builds(
+    lambda span, left, right, twice: Candidate(span, (*left, *right[:1]) if twice else left,
+                                               right),
+    st.lists(lookup_tokens, min_size=1, max_size=3), st.lists(lookup_tokens, max_size=3),
+    st.lists(lookup_tokens, max_size=3), st.booleans(),
+)
+batch_candidates = st.one_of(lookup_candidates, repeating_candidates,
+                             st.lists(lookup_tokens, min_size=1, max_size=3).map(Candidate))
+
+
+class TestBatchVectorizer:
+    """vectorize_batch builds the rows of a whole batch, ``_CHUNK`` candidates at a time;
+    each row must hold the candidate's own vector."""
+
+    @given(st.lists(batch_candidates, min_size=1, max_size=4), st.lists(batch_candidates,
+           max_size=8), st.sampled_from([0.0, 0.5, 1.0]), st.booleans(), st.randoms())
+    @settings(max_examples=150, deadline=None)
+    def test_each_row_is_the_candidates_vector(self, training, others, keep, crowd, rnd):
+        names = FeatureSpace.fit(training).index_to_name
+        # a space without some names, shape names among them, has rows with few or none
+        kept = [name for name in names if rnd.random() < keep]
+        space = FeatureSpace(rnd.sample(kept, len(kept)))
+        batch = [*training, *others]
+        if crowd:  # more rows than one step takes: rows on both sides of every step
+            size = FeatureSpace._CHUNK + rnd.randrange(1, 2 * FeatureSpace._CHUNK)
+            batch = [rnd.choice(batch) for _ in range(size)]
+        counts, indices = space.vectorize_batch(batch)
+        assert counts.dtype == indices.dtype == np.int64
+        assert counts.size == len(batch) and counts.sum() == indices.size
+        ends = np.cumsum(counts).tolist()
+        xs = space.vectorize_each(batch)
+        for c, start, end, x in zip(batch, [0, *ends], ends, xs):
+            expected = space.vectorize(extract_features(c))
+            assert x == expected == SparseVector(indices[start:end], np.ones(end - start))
+            assert x.values.dtype == np.float64 and not x.indices.flags.writeable
+            assert x.indices.base is xs[0].indices.base  # one array behind every row
+        for c in batch[:10]:
+            assert space.vectorize_candidate(c) == space.vectorize(extract_features(c))
+
+    def test_no_candidates(self):
+        counts, indices = FeatureSpace(["dummy"]).vectorize_batch([])
+        assert counts.tolist() == indices.tolist() == []
+        assert counts.dtype == indices.dtype == np.int64
+        assert FeatureSpace(["dummy"]).vectorize_each([]) == []

@@ -11,7 +11,7 @@ from fmnec import (
     load_fm_model,
     save_fm_model,
 )
-from fmnec.fm import read_fm_model
+from fmnec.fm import _Batch, read_fm_model
 from fmnec.util import LineCursor
 
 from helpers import random_instance, random_model
@@ -150,6 +150,66 @@ class TestPredictRawNaive:
         m = FMModel(0.0, [0.0], [[0.0]])
         with pytest.raises(DimensionMismatchError):
             m.predict_raw_naive(SparseVector([3], [1.0]))
+
+
+def parent_kernel(model, xs):
+    """The batch scores as the kernel computed them before batches were built from CSR
+    arrays: every value multiplied in, each column gathered from V in place."""
+    rows = np.repeat(np.arange(len(xs)), [x.nnz for x in xs])
+    idx = np.concatenate([x.indices for x in xs] or [np.empty(0, np.int64)])
+    vals = np.concatenate([x.values for x in xs] or [np.empty(0)])
+
+    def per_row(weights):
+        return np.bincount(rows, weights=weights, minlength=len(xs))
+
+    out = model.w0 + per_row(model.w[idx] * vals)
+    if model.k:
+        pairs = np.zeros(len(xs))
+        for f in range(model.k):
+            column = model.V[idx, f] * vals
+            total = per_row(column)
+            pairs += total * total - per_row(column * column)
+        out += 0.5 * pairs
+    return out
+
+
+def bits(scores):
+    return np.asarray(scores, dtype=np.float64).view(np.int64)
+
+
+class TestBatchScores:
+    """A batch built from CSR arrays scores each row with the bits of the kernel before it,
+    of the batch of a ``SparseVector`` list, and close to the pairwise oracle."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 6), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_csr_batch_keeps_the_bits(self, seed, n, k, binary):
+        rng = np.random.default_rng(seed)
+        model = random_model(rng, n, k)
+        xs = [random_instance(rng, n, min(n, 8), binary=binary)
+              for _ in range(int(rng.integers(0, 12)))]
+        counts = np.array([x.nnz for x in xs], dtype=np.int64)
+        indices = np.concatenate([x.indices for x in xs] or [np.empty(0, np.int64)])
+        values = np.concatenate([x.values for x in xs] or [np.empty(0)])
+        scores = _Batch(counts, indices, None if binary else values).scores(model)
+        assert scores.shape == (len(xs),)
+        for other in (_Batch(counts, indices, values), _Batch.stack(xs)):
+            assert np.array_equal(bits(other.scores(model)), bits(scores))
+        assert np.array_equal(bits(parent_kernel(model, xs)), bits(scores))
+        for score, x in zip(scores.tolist(), xs):
+            assert score == model.predict_raw(x)
+            naive = model.predict_raw_naive(x)
+            assert abs(score - naive) <= 1e-9 * (1 + abs(naive))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_empty_row_is_w0_and_a_lone_feature_does_not_interact(self, k):
+        model = random_model(np.random.default_rng(5), 6, k)
+        binary = _Batch(np.array([0, 1, 0, 1]), np.array([2, 5]))
+        assert bits(binary.scores(model)).tolist() == bits(
+            [model.w0, model.w0 + model.w[2], model.w0, model.w0 + model.w[5]]).tolist()
+        valued = _Batch(np.array([1, 0]), np.array([4]), np.array([-1.5]))
+        assert bits(valued.scores(model)).tolist() == bits(
+            [model.w0 + model.w[4] * -1.5, model.w0]).tolist()
 
 
 class TestInteractionWeight:

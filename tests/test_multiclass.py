@@ -14,9 +14,11 @@ import pytest
 
 import fmnec
 from fmnec import (
+    Candidate,
     ConfigError,
     DataFormatError,
     DimensionMismatchError,
+    FeatureSpace,
     FMModel,
     OvAModel,
     SparseVector,
@@ -28,9 +30,10 @@ from fmnec import (
 )
 
 from fmnec import multiclass
+from fmnec.fm import _Batch
 from fmnec.util import derive_seed
 
-from helpers import assert_reaped, make_xor_tagged, usable_cpus
+from helpers import assert_reaped, make_xor_tagged, random_model, usable_cpus
 
 
 def bias_model(w0, n=0, k=0):
@@ -164,6 +167,24 @@ class TestPredictScores:
         model = OvAModel(["A", "B"], [bias_model(0.0, n=3), bias_model(0.0, n=3)])
         with pytest.raises(DimensionMismatchError, match="feature index 3 out of range for n=3"):
             model.predict_scores([SparseVector([0], [1.0]), SparseVector([1, 3], [1.0, 1.0])])
+
+
+    def test_a_feature_space_batch_scores_as_its_vectors(self):
+        rng = np.random.default_rng(11)
+        words = ["mr", "in", "Bonn", "said", "ANN", "U.N.", "the", *(f"w{i}" for i in range(30))]
+
+        def some(low, high):
+            return [str(w) for w in rng.choice(words, int(rng.integers(low, high)))]
+
+        candidates = [Candidate(some(1, 4), some(0, 6), some(0, 6)) for _ in range(700)]
+        space = FeatureSpace.fit(candidates[:40])  # the later candidates hold unknown words
+        model = OvAModel(["A", "B", "C"], [random_model(rng, len(space), 4) for _ in range(3)])
+        batch = _Batch(*space.vectorize_batch(candidates))
+        xs = space.vectorize_each(candidates)
+        scores = model.predict_scores(batch)
+        assert np.array_equal(scores.view(np.int64), model.predict_scores(xs).view(np.int64))
+        assert scores.tolist() == [[m.predict_raw(x) for m in model.models] for x in xs]
+        assert model.predict_label(batch) == model.predict_label(xs)
 
 
 class TestPredictLabel:
