@@ -136,7 +136,7 @@ def _scored(args, need_gold=False):
         space = error = None
         try:  # this process's errors wait for the model's outcome
             space = FeatureSpace.load(args.space)
-            xs, gold = _vectorized(space, _read_candidates(args.candidates, need_gold))
+            batch = _vectorized(space, _read_candidates(args.candidates, need_gold))
         except Exception as exc:
             error = exc
         model = loader.receive() if fork else model
@@ -150,7 +150,7 @@ def _scored(args, need_gold=False):
                           f"feature space size {len(space)}")
     if error is not None:
         raise error
-    return model, gold, model.predict_scores(xs)
+    return model, batch.labels, model.predict_scores(batch)
 
 
 def _load_model(path) -> list:
@@ -161,17 +161,17 @@ def _load_model(path) -> list:
         return [sendable(exc, f"loading {path}")]
 
 
-def _vectorized(space, candidates):
-    """The candidates' batch and gold tags: all a command keeps of its candidates."""
-    return _Batch(*space.vectorize_batch(candidates)), [c.gold_tag for c in candidates]
+def _vectorized(space, candidates) -> _Batch:
+    """The candidates' batch labeled with their gold tags: all a command keeps of them."""
+    return _Batch(*space.vectorize_batch(candidates), labels=[c.gold_tag for c in candidates])
 
 
 def _training_set(path):
-    """The feature space fitted on a gold candidates file and its (vector, tag) pairs;
-    the candidates are freed on return."""
+    """The feature space fitted on a gold candidates file and its tagged batch; the candidates
+    are freed on return."""
     candidates = _read_candidates(path, need_gold=True)
     space = FeatureSpace.fit(candidates)
-    return space, list(zip(space.vectorize_each(candidates), [c.gold_tag for c in candidates]))
+    return space, _vectorized(space, candidates)
 
 
 def cmd_prepare(args):

@@ -95,7 +95,7 @@ def pr_curve(scores) -> list[tuple[float, float]]:
 def sweep_configs(k_values, config) -> list:
     """One checked ``TrainConfig`` per k value, other fields from ``config``; a k
     may appear once."""
-    configs = [replace(config, k=int(k)) for k in k_values]
+    configs = [replace(config, k=k) for k in k_values]
     if not configs:
         raise ConfigError("no k values to sweep")
     seen = set()
@@ -109,14 +109,14 @@ def sweep_configs(k_values, config) -> list:
 def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
     """Dev micro-F1 per factorization dimension, in ``k_values`` order, other config fields
     fixed; all (k, label) jobs train in one run, each k scored once trained and then freed.
-    ``dev`` holds (instance, tag) pairs, or is one pair of a ``_Batch`` and its tags."""
+    ``train`` and ``dev`` are each a tagged ``_Batch`` or ``(SparseVector, tag)`` pairs."""
     configs = sweep_configs(k_values, config)
-    if not (isinstance(dev, tuple) and len(dev) == 2 and isinstance(dev[0], _Batch)):
-        dev = list(dev)
-        dev = _Batch.stack(x for x, _ in dev), [tag for _, tag in dev]  # stacked once
-    xs, gold = dev
+    dev = _Batch.of(dev, labeled=True)  # stacked once
+    if not len(dev):
+        raise ConfigError("nothing to evaluate")
     with closing(_train_configs(train, n, configs)) as models:  # map holds none between k's
-        f1 = dict(map(lambda m: (m.k, evaluate(gold, m.predict_label(xs)).micro.f1), models))
+        f1 = dict(map(lambda m: (m.k, evaluate(dev.labels, m.predict_label(dev)).micro.f1),
+                      models))
     return [(k_config.k, f1[k_config.k]) for k_config in configs]
 
 

@@ -17,8 +17,8 @@ Character classes are judged per character over all span tokens joined
 (without the joining spaces), so digits and punctuation break the
 ``all-low``/``all-cap1`` predicates while ``.`` is admitted by ``all-cap2``.
 
-``FeatureSpace.vectorize_batch`` maps candidates straight to CSR arrays;
-``vectorize_each`` and ``vectorize_candidate`` are views of its rows.
+``FeatureSpace.vectorize_batch`` maps candidates straight to CSR arrays, which
+every command scores and trains on; ``vectorize_candidate`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -145,16 +145,9 @@ class FeatureSpace:
         return SparseVector._unchecked(idx, self._ones[: idx.size])
 
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
-        """``vectorize(extract_features(candidate))``: the one-row ``vectorize_each``."""
-        return self.vectorize_each((candidate,))[0]
-
-    def vectorize_each(self, candidates) -> list[SparseVector]:
-        """Every candidate's vector, a read-only view of one ``vectorize_batch`` array."""
-        counts, indices = self.vectorize_batch(candidates)
-        ends = np.cumsum(counts).tolist()
-        ones = [self._ones[:size] for size in range(counts.max(initial=0) + 1)]  # shared
-        return [SparseVector._unchecked(indices[start:end], ones[end - start])
-                for start, end in zip([0, *ends], ends)]
+        """``vectorize(extract_features(candidate))``: the one-row ``vectorize_batch``."""
+        indices = self.vectorize_batch((candidate,))[1]
+        return SparseVector._unchecked(indices, self._ones[: indices.size])
 
     def vectorize_batch(self, candidates) -> tuple[np.ndarray, np.ndarray]:
         """The vectors of a sequence of candidates as CSR arrays: each row's nonzero count,

@@ -11,11 +11,11 @@ evaluates the interaction term through the factored identity
     0.5 * sum_f [ (sum_i V[i,f] x[i])^2 - sum_i (V[i,f] x[i])^2 ]
 
 touching only nonzero entries, so the cost is O(nnz * k) instead of
-quadratic in nnz.  The same identity scores a whole batch at once
-(``_Batch``): CSR arrays, a row count per instance and every nonzero in one
-flat array, summed per row with ``np.bincount``, so ``predict_raw`` and the
-one-vs-all scorer share one kernel.  ``predict_raw_naive`` is the literal
-pairwise double loop, kept as an independent cross-check oracle.
+quadratic in nnz.  A ``_Batch`` holds many instances as CSR arrays (row
+bounds, every nonzero in one flat array) and one label per row: the one shape
+that SGD trains on and the identity scores, all rows at once, so ``predict_raw``
+and the one-vs-all scorer share one kernel.  ``predict_raw_naive`` is the
+literal pairwise double loop, kept as an independent cross-check oracle.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class FMModel:
 
     def predict_raw(self, x: SparseVector) -> float:
         """Raw score through the factored interaction identity, O(nnz * k)."""
-        return float(_Batch.stack([x]).scores(self)[0])
+        return float(_Batch.of([x]).scores(self)[0])
 
     def predict_raw_naive(self, x: SparseVector) -> float:
         """Raw score through the literal pairwise double loop (cross-check oracle)."""
@@ -195,47 +195,57 @@ def _check_dimension(top: int, n: int) -> None:
 
 
 class _Batch:
-    """Instances stacked once into flat CSR arrays, scored against any model.
+    """Instances stacked once into flat CSR arrays, and their labels (tags, or -1 and +1).
 
-    Row r holds the next ``counts[r]`` entries; entry j is the nonzero ``values[j]`` of
-    feature ``indices[j]``, and ``values`` is None when every value is 1.0.  Every per-row
-    sum is one ``np.bincount`` over the entries' rows, so empty rows score exactly ``w0``
-    and a single nonzero has an exactly-zero interaction term.
+    Row r holds entries ``bounds[r]`` to ``bounds[r + 1]``; entry j is the nonzero ``values[j]``
+    of feature ``indices[j]``, and ``values`` is None when every value is 1.0.  Scores sum per
+    row with one ``np.bincount`` over the entries' rows, so empty rows score exactly ``w0`` and
+    a single nonzero has an exactly-zero interaction term.
     """
 
-    __slots__ = ("size", "rows", "indices", "values", "top")
+    __slots__ = ("bounds", "indices", "values", "top", "labels")
 
-    def __init__(self, counts, indices, values=None):
-        self.size = len(counts)
-        self.rows = np.repeat(np.arange(self.size), counts)
+    def __init__(self, counts, indices, values=None, labels=None):
+        self.bounds = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         self.indices = indices
         self.values = values
         self.top = int(indices.max()) if indices.size else -1
+        self.labels = labels
 
     @classmethod
-    def stack(cls, xs) -> "_Batch":
-        """The batch of a sequence of ``SparseVector``."""
-        xs = list(xs)
+    def of(cls, data, labeled=False) -> "_Batch":
+        """``data`` itself if it is a batch, else the batch of its ``SparseVector``s, or with
+        ``labeled`` of its ``(SparseVector, label)`` pairs; all-1.0 values are dropped."""
+        if isinstance(data, cls):
+            return data
+        data = list(data)
+        xs, labels = ([x for x, _ in data], [y for _, y in data]) if labeled else (data, None)
+        values = np.concatenate([x.values for x in xs] or [np.empty(0)])
         return cls([x.nnz for x in xs],
                    np.concatenate([x.indices for x in xs] or [np.empty(0, np.int64)]),
-                   np.concatenate([x.values for x in xs] or [np.empty(0)]))
+                   None if (values == 1.0).all() else values, labels)
 
-    def _sum(self, weights) -> np.ndarray:
-        return np.bincount(self.rows, weights=weights, minlength=self.size)
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
 
     def scores(self, model: FMModel) -> np.ndarray:
         """Raw score of every row: w0 + <w, x> + 0.5 * sum_f [(XV)_f^2 - (X^2 V^2)_f].  With
         no values (all 1.0) the products by 1.0, which are exact, are skipped."""
         _check_dimension(self.top, model.n)
-        idx, vals = self.indices, self.values
-        out = model.w0 + self._sum(model.w[idx] if vals is None else model.w[idx] * vals)
+        idx, vals, size = self.indices, self.values, len(self)
+        rows = np.repeat(np.arange(size), np.diff(self.bounds))  # only a scored batch needs it
+
+        def per_row(weights):
+            return np.bincount(rows, weights=weights, minlength=size)
+
+        out = model.w0 + per_row(model.w[idx] if vals is None else model.w[idx] * vals)
         if model.k:
-            pairs = np.zeros(self.size)
+            pairs = np.zeros(size)
             for f in range(model.k):
                 # a contiguous copy of the column gathers faster than V's strided one
                 column = model.V[:, f].copy()[idx] if vals is None else model.V[idx, f] * vals
-                total = self._sum(column)
-                pairs += total * total - self._sum(column * column)
+                total = per_row(column)
+                pairs += total * total - per_row(column * column)
             out += 0.5 * pairs
         return out
 

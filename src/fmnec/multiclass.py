@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import heapq
 import os
 from dataclasses import dataclass, field, replace
@@ -61,7 +62,7 @@ class OvAModel:
     def _scores(self, xs) -> np.ndarray:
         # one body behind both public methods, so predict_label never runs
         # inside predict_scores (bench/layers.py times each as its own span)
-        batch = xs if isinstance(xs, _Batch) else _Batch.stack(xs)
+        batch = _Batch.of(xs)
         return np.stack([batch.scores(model) for model in self.models], axis=1)
 
     def __eq__(self, other):
@@ -95,10 +96,10 @@ def _train_configs(data, n: int, configs, on_epoch=None):
     pairs, longest k first (stable), pulled from one queue by this process and W - 1 workers
     forked once (W usable CPUs, at most one per job).  Results and ``on_epoch`` calls are taken
     in job order, at most one unread per worker, up to the first failure, which then raises."""
-    data = list(data)
-    if not data:
+    data = _Batch.of(data, labeled=True)
+    if not len(data):
         raise ConfigError("training data is empty")
-    tags = {tag for _, tag in data}
+    tags = set(data.labels)
     if not all(isinstance(tag, str) for tag in tags):
         raise ConfigError("every training instance needs a tag")
     labels = sorted(tags)
@@ -152,12 +153,13 @@ def _job_queue(count: int):
     os.close(read_end)
 
 
-def _train_jobs(data, n: int, jobs, pulls) -> list:
+def _train_jobs(data: _Batch, n: int, jobs, pulls) -> list:
     """(index, ``on_epoch`` calls, outcome) of each job pulled, to the first failure; then ()."""
     results = []
     for i in pulls:
         config, label = jobs[i]
-        binary = [(x, 1 if tag == label else -1) for x, tag in data]
+        binary = copy.copy(data)  # the same arrays, shared by every job, under -1 and +1 labels
+        binary.labels = [1 if tag == label else -1 for tag in data.labels]
         label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
         calls = []
         try:

@@ -12,19 +12,21 @@ are ds/dw0 = 1, ds/dw[i] = x[i] and, for the factor entries,
 ds/dV[i,f] = x[i] * (sum_j V[j,f] x[j]) - V[i,f] * x[i]^2, all evaluated at
 the pre-update parameters.
 
-A binary instance (all values 1.0, as every ``FeatureSpace`` vector is) skips
-the products by its values: IEEE 754 multiplication by 1.0 is exact.
+SGD walks the CSR rows of a labeled ``_Batch``; ``(SparseVector, label)`` pairs
+are stacked into one.  A batch without values (all 1.0, as every
+``FeatureSpace`` row is) skips the products by 1.0, which are exact.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, _check_dimension, _finite_parameters
+from .fm import FMModel, _Batch, _check_dimension, _finite_parameters
 from .util import derive_seed
 
 LOSS_KINDS = ("hinge", "logistic")
@@ -48,6 +50,9 @@ class TrainConfig:
     loss: str = "hinge"
 
     def __post_init__(self):
+        for name in ("k", "epochs", "seed"):  # numpy integers are Integral too
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ConfigError(f"{name} must be an integer")
         if self.k < 0:
             raise ConfigError("k must be >= 0")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -110,19 +115,24 @@ def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
     return -margin + math.log1p(e), -float(y) / (1.0 + e)
 
 
-def _epoch(model: FMModel, data, order, config: TrainConfig, binary: bool) -> float:
-    """SGD updates on the pairs ``data[t]``, ``t`` in ``order``, checked against ``model.n``
-    and the label rule; returns the sum of the pre-update losses.  ``binary`` (all values
-    1.0) skips the exact products by 1.0.  Every update keeps the module docstring's operands,
-    order and reductions (``a.dot(b)`` is ``a @ b``): the same bits with the rate, decays and
-    slope as 0-d float64 arrays, V's rows written through a row view, squares summed raveled."""
+def _epoch(model: FMModel, batch: _Batch, order, config: TrainConfig) -> float:
+    """SGD updates on the rows ``order`` of ``batch``, labeled -1 or +1 and checked against
+    ``model.n``; returns the sum of the pre-update losses.  A batch without values (all 1.0)
+    skips the exact products by 1.0.  Every update keeps the module docstring's operands, order
+    and reductions (``a.dot(b)`` is ``a @ b``): the same bits with the rate, decays and slope as
+    0-d float64 arrays, V's rows written through a row view, squares summed raveled."""
     w, V, w0, k = model.w, model.V, model.w0, model.k
     lr, reg_w, reg_v, g = map(np.array, (config.learning_rate, config.reg_w, config.reg_v, 0.0))
     rows = V.view(np.dtype((np.void, 8 * k))).reshape(-1) if k else None  # V is C-ordered
+    indices, values, labels = batch.indices, batch.values, batch.labels
+    bounds, binary = batch.bounds.tolist(), values is None
+    one = np.ones(np.diff(batch.bounds).max(initial=0))  # a binary row's values: a view of it
+    ones = [one[:size] for size in range(one.size + 1)]
     total = 0.0
     for t in order:
-        x, y = data[t]
-        idx, vals = x.indices, x.values
+        start, end = bounds[t], bounds[t + 1]
+        idx, y = indices[start:end], labels[t]
+        vals = ones[end - start] if binary else values[start:end]
         w_act = w[idx]
         score = w0 + float(w_act.dot(vals))
         if k:  # k = 0 (sweep-k's linear baseline) has no factor work to do
@@ -151,16 +161,16 @@ def _epoch(model: FMModel, data, order, config: TrainConfig, binary: bool) -> fl
 
 def sgd_step(model: FMModel, inst, config: TrainConfig) -> FMModel:
     """Update ``model`` in place on ``inst``, a ``(SparseVector, label)`` pair; return it."""
-    x, y = inst
-    _check_label(y)
-    _check_dimension(int(x.indices[-1]) if x.nnz else -1, model.n)
-    _epoch(model, (inst,), (0,), config, bool((x.values == 1.0).all()))
+    _check_label(inst[1])
+    batch = _Batch.of([inst], labeled=True)
+    _check_dimension(batch.top, model.n)
+    _epoch(model, batch, (0,), config)
     return model
 
 
 def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
-    """Train a fresh model with ``config.epochs`` passes over ``data``, a
-    sequence of ``(SparseVector, label)`` pairs with labels -1 or +1.
+    """Train a fresh model with ``config.epochs`` passes over ``data``, a ``_Batch``
+    or a sequence of ``(SparseVector, label)`` pairs, with labels -1 or +1.
 
     Deterministic for fixed inputs: both the factor initialization and the
     per-epoch visiting order derive from ``config.seed``.  ``on_epoch``,
@@ -168,23 +178,21 @@ def train_binary(data, n: int, config: TrainConfig, on_epoch=None) -> FMModel:
     Raises ``ConfigError`` when training diverges: an epoch's mean loss or
     the parameters after it are not finite.
     """
-    data = list(data)
-    if not data:
+    batch = _Batch.of(data, labeled=True)
+    if not len(batch):
         raise ConfigError("training data is empty")
-    for _, y in data:
-        _check_label(y)
-    # chunks of 256 vectors keep the temporaries too small to raise peak RSS
-    chunks = [data[i : i + 256] for i in range(0, len(data), 256)]
-    _check_dimension(max(int(np.concatenate([x.indices for x, _ in c]).max(initial=-1))
-                         for c in chunks), n)
-    binary = all((np.concatenate([x.values for x, _ in c]) == 1.0).all() for c in chunks)
+    if batch is not data:  # a one-vs-all job's batch is labeled -1 or +1 by construction
+        for y in batch.labels:
+            _check_label(y)
+    _check_dimension(batch.top, n)
     model = init_model(n, config)
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
     # a diverging run overflows inside numpy; the finiteness check below
     # reports it as a ConfigError instead of a stream of RuntimeWarnings
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
-            mean_loss = _epoch(model, data, rng.permutation(len(data)), config, binary) / len(data)
+            order = rng.permutation(len(batch)).tolist()
+            mean_loss = _epoch(model, batch, order, config) / len(batch)
             if not (math.isfinite(mean_loss) and _finite_parameters(model.w0, model.w, model.V)):
                 raise ConfigError(
                     f"training diverged at epoch {epoch + 1}: the mean loss ({mean_loss}) "

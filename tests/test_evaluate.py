@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fmnec import ConfigError, OvAModel, TrainConfig, evaluate, pr_curve, sweep_k
+from fmnec import ConfigError, OvAModel, TrainConfig, evaluate, multiclass, pr_curve, sweep_k
 from fmnec.fm import _Batch
 from fmnec.evaluate import (
     format_confusion_tsv,
@@ -208,15 +208,36 @@ class TestSweepK:
         assert len(scored) == 3 and all(xs is scored[0] for xs in scored)
         assert isinstance(scored[0], _Batch)
         xs = [x for x, _ in self.dev]
-        batch = _Batch(np.array([x.nnz for x in xs]), np.concatenate([x.indices for x in xs]))
-        stacked = sweep_k(self.train, (batch, [tag for _, tag in self.dev]), 2, [0, 2, 4], config)
+        batch = _Batch(np.array([x.nnz for x in xs]), np.concatenate([x.indices for x in xs]),
+                       labels=[tag for _, tag in self.dev])
+        stacked = sweep_k(self.train, batch, 2, [0, 2, 4], config)
         assert stacked == results
+        assert len(scored) == 6 and all(xs is batch for xs in scored[3:])
 
     def test_rejects_empty_and_negative(self):
         with pytest.raises(ConfigError):
             sweep_k(self.train, self.dev, 2, [], self.config)
         with pytest.raises(ConfigError):
             sweep_k(self.train, self.dev, 2, [-1], self.config)
+
+    @pytest.mark.parametrize("k", [2.5, "3"])
+    def test_rejects_a_non_integer_k(self, k):
+        with pytest.raises(ConfigError, match="^k must be an integer$"):
+            sweep_k(self.train, self.dev, 2, [0, k], self.config)
+
+    def test_empty_dev_set_is_refused_before_any_training(self, monkeypatch, forks):
+        calls = []
+        real = multiclass.train_binary
+
+        def train_binary(*args, **kwargs):
+            calls.append(args[2].k)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(multiclass, "train_binary", train_binary)
+        usable_cpus(monkeypatch, 2)
+        with pytest.raises(ConfigError, match="^nothing to evaluate$"):
+            sweep_k(make_xor_tagged(5, 1), [], 2, [0, 2, 4], replace(self.config, epochs=1))
+        assert calls == [] and forks == []
 
 
 class TestFormatting:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fmnec import Candidate, ConfigError, DataFormatError, FeatureSpace, SparseVector, extract_features
+from fmnec.fm import _Batch
 
 # tokens are non-empty and whitespace-free; mix plain ASCII with cased
 # unicode, digits, and punctuation to stress the character-class predicates
@@ -365,17 +366,17 @@ class TestBatchVectorizer:
         assert counts.dtype == indices.dtype == np.int64
         assert counts.size == len(batch) and counts.sum() == indices.size
         ends = np.cumsum(counts).tolist()
-        xs = space.vectorize_each(batch)
-        for c, start, end, x in zip(batch, [0, *ends], ends, xs):
+        assert _Batch(counts, indices).bounds.tolist() == [0, *ends]  # the rows SGD visits
+        for c, start, end in zip(batch, [0, *ends], ends):
             expected = space.vectorize(extract_features(c))
-            assert x == expected == SparseVector(indices[start:end], np.ones(end - start))
-            assert x.values.dtype == np.float64 and not x.indices.flags.writeable
-            assert x.indices.base is xs[0].indices.base  # one array behind every row
+            assert SparseVector(indices[start:end], np.ones(end - start)) == expected
         for c in batch[:10]:
-            assert space.vectorize_candidate(c) == space.vectorize(extract_features(c))
+            x = space.vectorize_candidate(c)
+            assert x == space.vectorize(extract_features(c))
+            assert x.values.dtype == np.float64 and not x.indices.flags.writeable
 
     def test_no_candidates(self):
         counts, indices = FeatureSpace(["dummy"]).vectorize_batch([])
         assert counts.tolist() == indices.tolist() == []
         assert counts.dtype == indices.dtype == np.int64
-        assert FeatureSpace(["dummy"]).vectorize_each([]) == []
+        assert len(_Batch(counts, indices)) == 0

@@ -193,8 +193,9 @@ class TestBatchScores:
         values = np.concatenate([x.values for x in xs] or [np.empty(0)])
         scores = _Batch(counts, indices, None if binary else values).scores(model)
         assert scores.shape == (len(xs),)
-        for other in (_Batch(counts, indices, values), _Batch.stack(xs)):
+        for other in (_Batch(counts, indices, values), _Batch.of(xs)):
             assert np.array_equal(bits(other.scores(model)), bits(scores))
+        assert (_Batch.of(xs).values is None) == (binary or not indices.size)  # all 1.0: dropped
         assert np.array_equal(bits(parent_kernel(model, xs)), bits(scores))
         for score, x in zip(scores.tolist(), xs):
             assert score == model.predict_raw(x)

@@ -180,7 +180,7 @@ class TestPredictScores:
         space = FeatureSpace.fit(candidates[:40])  # the later candidates hold unknown words
         model = OvAModel(["A", "B", "C"], [random_model(rng, len(space), 4) for _ in range(3)])
         batch = _Batch(*space.vectorize_batch(candidates))
-        xs = space.vectorize_each(candidates)
+        xs = list(map(space.vectorize_candidate, candidates))
         scores = model.predict_scores(batch)
         assert np.array_equal(scores.view(np.int64), model.predict_scores(xs).view(np.int64))
         assert scores.tolist() == [[m.predict_raw(x) for m in model.models] for x in xs]
@@ -393,6 +393,41 @@ class Needs2(Exception):
 
     def __init__(self, a, b):
         super().__init__(f"{a}/{b}")
+
+
+class TestTracedTrainingCalls:
+    """``bench/layers.py`` wraps ``train_binary`` and reads each call: ``len(args[0])`` is the
+    instance count, ``args[2].epochs`` the epoch count, and the ``on_epoch`` keyword is called
+    once per epoch.  At one CPU every job runs here, so a recorder sees each of them."""
+
+    def record(self, monkeypatch):
+        calls = []
+        real = multiclass.train_binary
+
+        def train_binary(*args, **kwargs):
+            epochs = []
+            user = kwargs["on_epoch"]
+
+            def on_epoch(epoch, mean_loss):
+                epochs.append(epoch)
+                user(epoch, mean_loss)
+
+            calls.append((len(args), len(args[0]), args[2].epochs, sorted(kwargs), epochs))
+            return real(*args, on_epoch=on_epoch)
+
+        usable_cpus(monkeypatch, 1)
+        monkeypatch.setattr(multiclass, "train_binary", train_binary)
+        return calls
+
+    def test_train_ova_makes_one_call_per_label(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        train_ova(tagged(3, size=40), 12, cfg(epochs=4))
+        assert calls == [(3, 40, 4, ["on_epoch"], [0, 1, 2, 3])] * 3
+
+    def test_sweep_k_makes_one_call_per_k_and_label(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        sweep_k(tagged(2, size=30), tagged(2, size=10, seed=1), 12, [0, 2, 5], cfg(epochs=3))
+        assert calls == [(3, 30, 3, ["on_epoch"], [0, 1, 2])] * 6
 
 
 class TestParallelTraining:

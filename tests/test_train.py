@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmnec import (
     ConfigError,
@@ -48,6 +51,57 @@ def reference_step(model, x, y, config):
         model.V[idx] = V_act - lr * (config.reg_v * V_act)
 
 
+def parent_epoch(model, data, order, config, binary):
+    """The SGD epoch as it ran on ``(SparseVector, label)`` pairs before training took CSR
+    batches, kept verbatim: the bits ``train._epoch`` must give on every kind of data."""
+    w, V, w0, k = model.w, model.V, model.w0, model.k
+    lr, reg_w, reg_v, g = map(np.array, (config.learning_rate, config.reg_w, config.reg_v, 0.0))
+    rows = V.view(np.dtype((np.void, 8 * k))).reshape(-1) if k else None  # V is C-ordered
+    total = 0.0
+    for t in order:
+        x, y = data[t]
+        idx, vals = x.indices, x.values
+        w_act = w[idx]
+        score = w0 + float(w_act.dot(vals))
+        if k:
+            V_act = V.take(idx, axis=0)
+            scaled = V_act if binary else V_act * vals[:, None]
+            per_factor = np.add.reduce(scaled, 0)
+            if idx.size > 1:
+                score += 0.5 * (float(per_factor.dot(per_factor))
+                                - float(np.add.reduce((scaled * scaled).ravel())))
+        loss, slope = _loss_and_slope(config.loss, score, y)
+        total += loss
+        w0 -= config.learning_rate * slope
+        g[()] = slope
+        w[idx] = w_act - lr * ((g if binary else g * vals) + reg_w * w_act)
+        if k and (slope != 0.0 or config.reg_v != 0.0):
+            step = reg_v * V_act
+            if slope != 0.0:
+                grad = (per_factor - V_act if binary
+                        else vals[:, None] * per_factor[None, :] - scaled * vals[:, None])
+                np.add(step, np.multiply(grad, g, grad), step)
+            np.multiply(step, lr, step)
+            rows.put(idx, np.subtract(V_act, step, step).view(rows.dtype))
+    model.w0 = w0
+    return total
+
+
+def parent_train(data, n, config):
+    """``train_binary`` as it ran ``parent_epoch``: one all-1.0 flag for the whole set."""
+    model = init_model(n, config)
+    binary = all((x.values == 1.0).all() for x, _ in data)
+    rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
+    losses = [parent_epoch(model, data, rng.permutation(len(data)), config, binary) / len(data)
+              for _ in range(config.epochs)]
+    return model, losses
+
+
+def model_bits(model):
+    return [np.array([model.w0]).view(np.int64).tolist(), model.w.view(np.int64).tolist(),
+            model.V.view(np.int64).tolist()]
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "bad",
@@ -76,6 +130,17 @@ class TestTrainConfig:
     def test_rejects_invalid(self, bad):
         with pytest.raises(ConfigError):
             cfg(**bad)
+
+    @pytest.mark.parametrize("field", ["k", "epochs", "seed"])
+    @pytest.mark.parametrize("value", [2.5, "3", None, np.float64(3.0)])
+    def test_rejects_a_non_integer(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer$"):
+            cfg(**{field: value})
+
+    @pytest.mark.parametrize("field", ["k", "epochs", "seed"])
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+    def test_numpy_integers_are_accepted(self, field, kind):
+        assert cfg(**{field: kind(3)}) == cfg(**{field: 3})
 
     def test_label_validation(self):
         data = [(SparseVector([0], [1.0]), 1), (SparseVector([0], [1.0]), 0)]
@@ -298,6 +363,38 @@ class TestSgdStep:
             assert min_nnz in sizes
 
 
+class TestParentBits:
+    """Training on CSR rows gives the bits of the pair loop it replaced, on real values too
+    (the golden outputs cover only the CLI's binary vectors)."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.sampled_from([1, 3, 12]),
+           st.integers(0, 6), st.sampled_from(["hinge", "logistic"]), st.integers(1, 4),
+           st.sampled_from(["binary", "real", "mixed"]), st.sampled_from([0.0, 1e-2]))
+    @settings(max_examples=150, deadline=None)
+    def test_train_binary_and_sgd_step_keep_the_bits(self, seed, n, width, k, loss, epochs,
+                                                     kind, reg):
+        rng = np.random.default_rng(seed)
+        # rows of up to ``width`` entries: with narrow rows, empty and one-entry rows come up
+        # often; real values are negative or positive
+        def binary():
+            return kind == "binary" or (kind == "mixed" and rng.random() < 0.5)
+
+        data = [(random_instance(rng, n, min(n, width), binary=binary()), int(rng.choice([-1, 1])))
+                for _ in range(int(rng.integers(1, 15)))]
+        config = cfg(k=k, loss=loss, epochs=epochs, reg_w=reg, reg_v=reg, learning_rate=0.3)
+        expected, losses = parent_train(data, n, config)
+        seen = []
+        model = train_binary(data, n, config, on_epoch=lambda e, mean: seen.append(mean))
+        assert model_bits(model) == model_bits(expected)
+        assert np.array(seen).view(np.int64).tolist() == np.array(losses).view(np.int64).tolist()
+        expected = random_model(rng, n, k)
+        model = expected.copy()
+        for x, y in data:
+            sgd_step(model, (x, y), config)
+            parent_epoch(expected, [(x, y)], [0], config, bool((x.values == 1.0).all()))
+        assert model_bits(model) == model_bits(expected)
+
+
 class TestTrainBinary:
     def test_separable_pair(self):
         data = [
@@ -368,6 +465,19 @@ class TestTrainBinary:
         assert model.w.tobytes() == expected.w.tobytes()
         assert model.V.tobytes() == expected.V.tobytes()
 
+    def test_a_long_row_costs_memory_in_proportion_to_its_length(self):
+        # the rows' values of 1.0 are views of one vector: a vector for every length up
+        # to the longest would take (longest row)**2 / 2 floats
+        wide = SparseVector(np.arange(5000), np.ones(5000))
+        data = [(wide, 1), (SparseVector([0], [1.0]), -1)]
+        tracemalloc.start()
+        try:
+            train_binary(data, 5000, cfg(k=0, epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_epoch_callback_reports_mean_loss(self):
         data = [(SparseVector([0], [1.0]), 1)]
         seen = []
@@ -385,7 +495,7 @@ class TestTrainBinary:
             train_binary(data, 3, cfg())
 
     def test_out_of_range_index_in_the_last_chunk_rejected(self):
-        # the checks read 256 vectors at a time; the largest index is reported
+        # the largest index of the whole set is the one reported
         data = [(SparseVector([i % 3], [1.0]), 1) for i in range(300)]
         data[10] = (SparseVector([1, 5], [1.0, 1.0]), -1)
         data[-1] = (SparseVector([2, 7], [1.0, 2.0]), -1)
