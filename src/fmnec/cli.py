@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
 All file writes are atomic, so interrupted runs never leave partial
-artifacts at their target paths.  With a second usable CPU (not under `taskset -c 0`),
-predict and eval parse the model file in a forked child while they read the rest.
+artifacts at their target paths.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .features import FeatureSpace
 from .fm import _Batch
 from .multiclass import load_ova_model, save_ova_model, train_ova
 from .train import LOSS_KINDS, TrainConfig
-from .util import G17, Forked, atomic_write, open_text, process_count, sendable
+from .util import G17, atomic_write, open_text
 
 log = logging.getLogger("fmnec")
 
@@ -126,39 +125,16 @@ def _read_candidates(path, need_gold=False):
 
 
 def _scored(args, need_gold=False):
-    """The model, the candidates' gold tags and their scores.  The error raised is the first a
-    sequential read meets: the model's, the space's, a size mismatch, the candidates'."""
+    """The model, the candidates' gold tags and their scores.  The model, the space and the
+    candidates are read in that order, so the error raised is the first a sequential read meets."""
     _require_files(args.model, args.space)
-    fork = process_count(2) > 1
-    loader = Forked(f"the loader of {args.model}", _load_model, args.model) if fork else None
-    try:
-        model = None if fork else _load_model(args.model)[0]
-        space = error = None
-        try:  # this process's errors wait for the model's outcome
-            space = FeatureSpace.load(args.space)
-            batch = _vectorized(space, _read_candidates(args.candidates, need_gold))
-        except Exception as exc:
-            error = exc
-        model = loader.receive() if fork else model
-    finally:
-        if fork:
-            loader.close()
-    if isinstance(model, Exception):
-        raise model
-    if space is not None and model.n != len(space):
+    model = load_ova_model(args.model)
+    space = FeatureSpace.load(args.space)
+    if model.n != len(space):
         raise ConfigError(f"model dimension {model.n} does not match "
                           f"feature space size {len(space)}")
-    if error is not None:
-        raise error
+    batch = _vectorized(space, _read_candidates(args.candidates, need_gold))
     return model, batch.labels, model.predict_scores(batch)
-
-
-def _load_model(path) -> list:
-    """[the model, or the error loading it raised], the same in a forked loader or here."""
-    try:
-        return [load_ova_model(path)]
-    except Exception as exc:
-        return [sendable(exc, f"loading {path}")]
 
 
 def _vectorized(space, candidates) -> _Batch:

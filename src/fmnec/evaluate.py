@@ -114,6 +114,8 @@ def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
     dev = _Batch.of(dev, labeled=True)  # stacked once
     if not len(dev):
         raise ConfigError("nothing to evaluate")
+    if None in dev.labels:
+        raise ConfigError("every dev instance needs a gold tag")
     with closing(_train_configs(train, n, configs)) as models:  # map holds none between k's
         f1 = dict(map(lambda m: (m.k, evaluate(dev.labels, m.predict_label(dev)).micro.f1),
                       models))

@@ -225,7 +225,13 @@ class TestSweepK:
         with pytest.raises(ConfigError, match="^k must be an integer$"):
             sweep_k(self.train, self.dev, 2, [0, k], self.config)
 
-    def test_empty_dev_set_is_refused_before_any_training(self, monkeypatch, forks):
+    @pytest.mark.parametrize("dev, message", [
+        ([], "nothing to evaluate"),
+        ([(x, tag if i else None) for i, (x, tag) in enumerate(make_xor_tagged(2, 3))],
+         "every dev instance needs a gold tag"),
+    ], ids=["empty", "a row without a tag"])
+    def test_unusable_dev_set_is_refused_before_any_training(self, monkeypatch, forks, dev,
+                                                             message):
         calls = []
         real = multiclass.train_binary
 
@@ -235,8 +241,8 @@ class TestSweepK:
 
         monkeypatch.setattr(multiclass, "train_binary", train_binary)
         usable_cpus(monkeypatch, 2)
-        with pytest.raises(ConfigError, match="^nothing to evaluate$"):
-            sweep_k(make_xor_tagged(5, 1), [], 2, [0, 2, 4], replace(self.config, epochs=1))
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            sweep_k(make_xor_tagged(5, 1), dev, 2, [0, 2, 4], replace(self.config, epochs=1))
         assert calls == [] and forks == []
 
 
