@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import fmnec
-from fmnec import FeatureSpace, load_ova_model, read_candidates_tsv
+from fmnec import FeatureSpace, cli, load_ova_model, read_candidates_tsv
 from fmnec.cli import main
 
 from helpers import usable_cpus, write_xor_corpus
@@ -496,6 +496,11 @@ def _scoring_argv(command, model, space, candidates, out):
     return argv + ["--pr-curves"] if command == "eval" else argv
 
 
+def main_without_fork(argv):
+    os.fork = None  # in a Pool worker: any attempt to fork fails
+    return main(argv)
+
+
 # (model, space, candidates, exit code, message): each case holds two or more
 # faults, and the error is the one a sequential read meets first
 LOAD_ERRORS = {
@@ -542,29 +547,80 @@ class TestLoadOrder:
                 "n": load_ova_model(pipeline["model"]).n,
                 **{name: tmp_path / name for name in written}}
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("command, case", [
         *((command, case) for case in LOAD_ERRORS if "no gold tag" not in case
           for command in ("predict", "eval")),
         ("eval", "no gold tags"),
         ("eval", "no gold tag after a blank line"),
     ])
-    def test_error_is_the_first_of_a_sequential_read(self, files, capfd, tmp_path, command,
-                                                     case):
+    def test_error_is_the_first_of_a_sequential_read(self, files, monkeypatch, forks, capfd,
+                                                     tmp_path, cpus, command, case):
         model, space, candidates, code, message = LOAD_ERRORS[case]
+        usable_cpus(monkeypatch, cpus)
         out = tmp_path / "out"
         assert main(_scoring_argv(command, files[model], files[space], files[candidates],
                                   out)) == code
         assert capfd.readouterr() == ("", f"error: {message.format(**files)}\n")
         assert not out.exists()
+        assert forks == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_load_error_propagates_as_raised(self, files, monkeypatch, forks, tmp_path, cpus):
+        # cli looks load_ova_model up at call time, so this stand-in is what predict runs
+        error = ValueError(lambda: 0)  # pickle cannot send a lambda; nothing needs to
+
+        def load_ova_model(path):
+            raise error
+
+        monkeypatch.setattr(cli, "load_ova_model", load_ova_model)
+        usable_cpus(monkeypatch, cpus)
+        out = tmp_path / "p.tsv"
+        with pytest.raises(ValueError) as err:
+            main(_scoring_argv("predict", files["model"], files["space"], files["candidates"],
+                               out))
+        assert err.value is error
+        assert not out.exists()
+        assert forks == []
+
+    def test_an_interrupt_in_a_load_writes_nothing(self, files, monkeypatch, forks, tmp_path):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(FeatureSpace, "load", interrupted)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "p.tsv"
+        with pytest.raises(KeyboardInterrupt):
+            main(_scoring_argv("predict", files["model"], files["space"], files["candidates"],
+                               out))
+        assert not out.exists()
+        assert forks == []
+
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # the Pool's own fork
+    def test_daemonic_caller_scores_as_the_main_process(self, files, monkeypatch, tmp_path):
+        # a Pool worker is a daemon, which may not start children; predict needs none
+        import multiprocessing
+
+        usable_cpus(monkeypatch, 2)
+        argvs = [_scoring_argv("predict", files["model"], files["space"], files["candidates"],
+                               tmp_path / name) for name in ("pool.tsv", "here.tsv")]
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply(main_without_fork, (argvs[0],)) == 0
+        assert main(argvs[1]) == 0
+        assert (tmp_path / "pool.tsv").read_bytes() == (tmp_path / "here.tsv").read_bytes()
 
 
-def test_scoring_starts_no_process(pipeline, monkeypatch, capfd, tmp_path):
-    usable_cpus(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("command, written", [
+    ("predict", ["predictions.tsv"]),
+    ("eval", ["eval/confusion.tsv", "eval/pr_PER.tsv", "eval/report.tsv", "eval/report.txt"]),
+])
+def test_scoring_starts_no_process(pipeline, monkeypatch, capfd, tmp_path, cpus, command,
+                                   written):
+    usable_cpus(monkeypatch, cpus)
     monkeypatch.setattr(os, "fork", None)  # starting a process would fail
-    for command, target in (("predict", "predictions.tsv"), ("eval", "eval")):
-        assert main(_scoring_argv(command, pipeline["model"], pipeline["space"],
-                                  pipeline["test_candidates"], tmp_path / target)) == 0
-    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.*")) == [
-        "eval/confusion.tsv", "eval/pr_PER.tsv", "eval/report.tsv", "eval/report.txt",
-        "predictions.tsv"]
-    assert "micro" in capfd.readouterr().out
+    target = tmp_path / ("predictions.tsv" if command == "predict" else "eval")
+    assert main(_scoring_argv(command, pipeline["model"], pipeline["space"],
+                              pipeline["test_candidates"], target)) == 0
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.*")) == written
+    assert ("micro" in capfd.readouterr().out) == (command == "eval")
