@@ -115,8 +115,6 @@ class FeatureSpace:
             raise ValueError(_first_name_error(names)[1])
         self.name_to_index = index
         self.index_to_name = names
-        self._ones = np.ones(len(names))  # every vector's values are a slice of it
-        self._ones.setflags(write=False)
 
     @classmethod
     def fit(cls, candidates) -> "FeatureSpace":
@@ -142,12 +140,12 @@ class FeatureSpace:
         """Binary vector over the known names; unknown names are silently dropped."""
         index = self.name_to_index
         idx = np.array(sorted({index[nm] for nm in names if nm in index}), dtype=np.int64)
-        return SparseVector._unchecked(idx, self._ones[: idx.size])
+        return SparseVector(idx, np.ones(idx.size))
 
     def vectorize_candidate(self, candidate: Candidate) -> SparseVector:
         """``vectorize(extract_features(candidate))``: the one-row ``vectorize_batch``."""
         indices = self.vectorize_batch((candidate,))[1]
-        return SparseVector._unchecked(indices, self._ones[: indices.size])
+        return SparseVector(indices, np.ones(indices.size))
 
     def vectorize_batch(self, candidates) -> tuple[np.ndarray, np.ndarray]:
         """The vectors of a sequence of candidates as CSR arrays: each row's nonzero count,

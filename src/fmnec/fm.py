@@ -33,10 +33,8 @@ class SparseVector:
 
     Invariants: indices are non-negative and strictly increasing; values are
     finite and nonzero (zero entries are omitted rather than stored).  Both
-    arrays are read-only.  The public constructor enforces the invariants on
-    whatever it is given.  An internal builder may skip that check through
-    ``_unchecked`` only when its indices come from a ``FeatureSpace``, which
-    makes them hold by construction.
+    arrays are read-only.  The constructor enforces the invariants on
+    whatever it is given.
     """
 
     __slots__ = ("indices", "values")
@@ -59,17 +57,6 @@ class SparseVector:
         val.setflags(write=False)
         self.indices = idx
         self.values = val
-
-    @classmethod
-    def _unchecked(cls, indices: np.ndarray, values: np.ndarray) -> "SparseVector":
-        """Wrap int64 and float64 arrays that nothing writes and that already
-        meet the invariants; the caller guarantees them, nothing here checks."""
-        indices.setflags(write=False)
-        values.setflags(write=False)
-        x = cls.__new__(cls)
-        x.indices = indices
-        x.values = values
-        return x
 
     @classmethod
     def empty(cls) -> "SparseVector":

@@ -5,6 +5,9 @@ from __future__ import annotations
 import copy
 import heapq
 import os
+import pickle
+import sys
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,8 +15,7 @@ import numpy as np
 from .errors import ConfigError
 from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
 from .train import TrainConfig, train_binary
-from .util import (Forked, LineCursor, atomic_write, derive_seed, first_bad_token, process_count,
-                   sendable)
+from .util import LineCursor, atomic_write, derive_seed, first_bad_token
 
 OVA_FORMAT_HEADER = "FMOVA v1"
 
@@ -105,27 +107,25 @@ def _train_configs(data, n: int, configs, on_epoch=None):
     labels = sorted(tags)
     _check_labels(labels)
     jobs = [(config, label) for config in sorted(configs, key=lambda c: -c.k) for label in labels]
-    W = process_count(len(jobs))
+    W = _process_count(len(jobs))
     queue, workers = _job_queue(len(jobs)) if W > 1 else None, []
     pulls = iter(range(len(jobs))) if queue is None else (
         int.from_bytes(record, "little") for record in iter(lambda: os.read(queue, 2), b""))
     try:
-        def results(worker):  # its results, each read when the merge needs it; its death, kept
-            try:
-                yield from iter(worker.receive, ())
-            except ChildProcessError as error:
-                errors.append(error)
         while queue is not None and len(workers) < W - 1:
-            workers.append(Forked("a training worker", _train_jobs, data, n, jobs, pulls))
-        errors, models = [], []
+            workers.append(_Worker(data, n, jobs, pulls))
+        models = []
         own = _train_jobs(data, n, jobs, pulls)[::-1]  # popped: a model the consumer drops is freed
-        merged = heapq.merge(*map(results, workers), key=lambda r: r[0])  # read for jobs not in own
+        merged = heapq.merge(*workers, key=lambda r: r[0])  # read for jobs not in own
         for i, (_, label) in enumerate(jobs):
-            index, calls, outcome = own.pop() if own[-1][:1] == (i,) else next(merged, (None,) * 3)
+            mine = own and own[-1][0] == i
+            index, calls, outcome = own.pop() if mine else next(merged, (None,) * 3)
             if index != i:  # a worker died: the results still to come show what was delivered
-                done = {index, *(result[0] for result in merged), *(mine[0] for mine in own[1:])}
+                done = {index, *(result[0] for result in [*merged, *own])}
                 lost = dict.fromkeys(jobs[j][1] for j in range(i, len(jobs)) if j not in done)
-                raise ChildProcessError(f"{errors[0]}, so labels {', '.join(lost)} have no model")
+                code = next(os.waitstatus_to_exitcode(w.status) for w in workers if w.status)
+                raise ChildProcessError(f"a training worker exited with code {code} before sending "
+                                        f"its results, so labels {', '.join(lost)} have no model")
             for args in calls if on_epoch is not None else ():
                 on_epoch(label, *args)
             if isinstance(outcome, Exception):
@@ -134,6 +134,7 @@ def _train_configs(data, n: int, configs, on_epoch=None):
             if len(models) == len(labels):
                 yield OvAModel(labels, models)
                 models = []
+        next(merged, None)  # every worker's stream ends: each is reaped, none is signalled
     finally:
         if queue is not None:
             os.close(queue)
@@ -154,7 +155,7 @@ def _job_queue(count: int):
 
 
 def _train_jobs(data: _Batch, n: int, jobs, pulls) -> list:
-    """(index, ``on_epoch`` calls, outcome) of each job pulled, to the first failure; then ()."""
+    """(index, ``on_epoch`` calls, outcome) of each job pulled, up to the first failure."""
     results = []
     for i in pulls:
         config, label = jobs[i]
@@ -168,8 +169,68 @@ def _train_jobs(data: _Batch, n: int, jobs, pulls) -> list:
         except Exception as exc:  # raised in job order, also from a worker
             list(pulls)  # a failure empties the queue: no process starts another job
             error = ConfigError(f"label {label}: {exc}") if isinstance(exc, ConfigError) else exc
-            return results + [(i, calls, sendable(error, f"label {label}: training")), ()]
-    return results + [()]
+            try:  # one that pickle cannot send becomes one stated error at any process count
+                pickle.loads(pickle.dumps(error))
+            except Exception:  # unpickling runs the exception's own __init__: anything goes
+                error = RuntimeError(f"label {label}: training raised {type(error).__name__}, "
+                                     f"which cannot be sent between processes: {error}")
+            return results + [(i, calls, error)]
+    return results
+
+
+def _process_count(job_count: int) -> int:
+    """Processes to train on: one per usable CPU, at most one per job, and
+    only this one in a multiprocessing daemon (a Pool worker), which its pool
+    may end with no chance to end the daemon's own children."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    mp = sys.modules.get("multiprocessing")
+    return 1 if mp is not None and mp.current_process().daemon else min(job_count, cpus)
+
+
+class _Worker:
+    """A forked process that runs ``_train_jobs(data, n, jobs, pulls)`` and pickles the results
+    into a pipe.  Its exit ends them: its wait ``status``, once reaped, is 0 if all came through."""
+
+    def __init__(self, data: _Batch, n: int, jobs, pulls):
+        self.status = None  # the wait status, once reaped
+        read_end, write_end = os.pipe()
+        # Python >= 3.12 warns that forking with threads alive may deadlock the child.
+        # Ours are OpenBLAS's, which stops its pool around fork (pthread_atfork); the
+        # child runs single-threaded numpy on data it only reads, and its models came
+        # out bit-identical with them alive.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "This process", DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:  # the worker ends here, whatever happens: no traceback, no stdio flush
+            code = 1
+            try:
+                os.close(read_end)
+                # every job trains before the first write: a full pipe must not stall training
+                results = _train_jobs(data, n, jobs, pulls)
+                with open(write_end, "wb") as out:
+                    for result in results:
+                        pickle.dump(result, out)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)  # the worker holds the only write end: its exit ends the pipe
+        self.reader = open(read_end, "rb")
+
+    def __iter__(self):
+        """Each result, read with no copy beyond the arrays it holds; the end of the pipe reaps."""
+        try:
+            while True:
+                yield pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
+            self.reader.close()
+            self.status = os.waitpid(self.pid, 0)[1]
+
+    def close(self) -> None:
+        if self.status is None:  # not reaped, so the pid is still this worker's
+            import signal  # only here: commands that train nothing never load it
+            self.reader.close()
+            os.kill(self.pid, signal.SIGTERM)  # a worker still training has lost its caller
+            self.status = os.waitpid(self.pid, 0)[1]
 
 
 def write_ova_model(fh, model: OvAModel) -> None:

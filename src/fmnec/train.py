@@ -81,6 +81,8 @@ def init_model(n: int, config: TrainConfig) -> FMModel:
         raise ConfigError(
             f"cannot allocate the factor matrix for n={n} features and k={config.k}; lower k"
         ) from None
+    if not np.isfinite(V).all():  # a finite init_sd near float64's top: a 2 sd draw overflows
+        raise ConfigError(f"init_sd={config.init_sd:g} overflows float64 in a factor draw")
     return FMModel(0.0, np.zeros(n), V)
 
 

@@ -404,12 +404,16 @@ def test_growing_decay_is_config_error(pipeline, tmp_path):
     assert not out.exists()
 
 
-def test_infinite_init_sd_is_config_error(pipeline, tmp_path):
+@pytest.mark.parametrize("init_sd, message", [
+    ("inf", "init_sd must be finite"),
+    ("1e308", "init_sd=1e+308 overflows float64 in a factor draw"),  # finite, but not its draws
+], ids=["inf", "1e308"])
+def test_infinite_init_sd_is_config_error(pipeline, tmp_path, init_sd, message):
     out = tmp_path / "m"
     result = _run_cli("train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
-                      "--init-sd", "inf", "--epochs", "1", "--out", str(out))
+                      "--init-sd", init_sd, "--epochs", "1", "--out", str(out))
     assert result.returncode == 1
-    assert "init_sd must be finite" in result.stderr
+    assert message in result.stderr
     assert "Traceback" not in result.stderr
     assert not out.exists()
 

@@ -624,6 +624,16 @@ class TestParallelTraining:
         assert time.monotonic() - start < 20
         assert_reaped(forks, 2)
 
+    def test_a_worker_that_finishes_is_reaped_not_killed(self, monkeypatch, forks):
+        # its exit with status 0 ends its results; only a worker still training gets SIGTERM
+        kills = []
+        real_kill = os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: (kills.append(sig), real_kill(pid, sig)))
+        usable_cpus(monkeypatch, 2)
+        train_ova(tagged(4), 12, cfg(epochs=2))
+        assert signal.SIGTERM not in kills
+        assert_reaped(forks, 1)
+
     def test_worker_exception_comes_back_whole(self, monkeypatch, forks, capfd, tmp_path):
         config = cfg(epochs=1)
         error = DimensionMismatchError("feature index 99 out of range for n=12")

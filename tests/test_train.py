@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -186,6 +187,13 @@ class TestInitModel:
     def test_unallocatable_k_is_config_error(self, k):
         with pytest.raises(ConfigError, match=f"n=8 features and k={k}"):
             init_model(8, cfg(k=k))
+
+    @pytest.mark.parametrize("init_sd", [1e308, 1.7e308])
+    def test_init_sd_whose_draws_overflow_is_config_error(self, init_sd):
+        # finite, so TrainConfig accepts it; a draw beyond about 1.8 sd is not
+        with pytest.raises(ConfigError, match=re.escape(f"init_sd={init_sd:g} overflows float64")):
+            init_model(50, cfg(k=5, init_sd=init_sd))
+        assert np.isfinite(init_model(50, cfg(k=5, init_sd=1e300)).V).all()
 
 
 class TestLossValue:
