@@ -14,7 +14,7 @@ from fmnec import FMModel, SparseVector, load_fm_model, save_fm_model
 model = FMModel(w0=0.5, w=[1.0, -1.0], V=[[2.0], [3.0]])
 
 # A sparse instance only stores nonzero entries, sorted by index.
-x = SparseVector.from_dict({0: 1.0, 1: 1.0})
+x = SparseVector([0, 1], [1.0, 1.0])
 print("instance:", x)
 
 # bias 0.5 + linear (1 - 1) + interaction <2,3> * 1 * 1 = 6.5
@@ -28,7 +28,7 @@ print("score (naive)  :", model.predict_raw_naive(x))
 print("weight of (0,1):", model.interaction_weight(0, 1))
 
 # A single active feature has no pair, so only bias + linear remain.
-solo = SparseVector.from_dict({1: 2.0})
+solo = SparseVector([1], [2.0])
 print("single feature :", model.predict_raw(solo))  # 0.5 - 2.0
 
 # With k = 0 the factor matrix has no columns and the model is purely linear.

@@ -17,7 +17,6 @@ from .train import TrainConfig, init_model, loss_value, sgd_step, train_binary
 from .multiclass import OvAModel, load_ova_model, save_ova_model, train_ova
 from .features import Candidate, FeatureSpace, extract_features
 from .corpus import (
-    CorpusStats,
     Sentence,
     corpus_stats,
     extract_candidates,
@@ -33,7 +32,6 @@ from .evaluate import EvalReport, PRF, evaluate, format_report, pr_curve, sweep_
 __all__ = [
     "Candidate",
     "ConfigError",
-    "CorpusStats",
     "DataFormatError",
     "DimensionMismatchError",
     "EvalReport",

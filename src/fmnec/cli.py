@@ -13,6 +13,8 @@ import os
 import sys
 from urllib.parse import quote
 
+import numpy as np
+
 from . import __version__
 from .corpus import (
     NEGATIVE_TAG,
@@ -134,7 +136,12 @@ def _scored(args, need_gold=False):
         raise ConfigError(f"model dimension {model.n} does not match "
                           f"feature space size {len(space)}")
     batch = _vectorized(space, _read_candidates(args.candidates, need_gold))
-    return model, batch.labels, model.predict_scores(batch)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: refused just below
+        scores = model.predict_scores(batch)
+    if not np.isfinite(scores).all():
+        raise DataFormatError("the model's scores overflow: its parameters are too large",
+                              path=args.model)
+    return model, batch.labels, scores
 
 
 def _vectorized(space, candidates) -> _Batch:

@@ -138,19 +138,9 @@ class TagCount:
     types: int
 
 
-@dataclass
-class CorpusStats:
+def corpus_stats(candidates) -> dict[str, TagCount]:
     """Per-tag candidate counts: occurrences (tokens) and distinct lowercased
     surface forms (types)."""
-
-    per_tag: dict[str, TagCount]
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(tc.tokens for tc in self.per_tag.values())
-
-
-def corpus_stats(candidates) -> CorpusStats:
     tokens: dict[str, int] = defaultdict(int)
     surfaces: dict[str, set] = defaultdict(set)
     for candidate in candidates:
@@ -158,19 +148,19 @@ def corpus_stats(candidates) -> CorpusStats:
             raise ConfigError("corpus statistics need gold-tagged candidates")
         tokens[candidate.gold_tag] += 1
         surfaces[candidate.gold_tag].add(candidate.surface.lower())
-    return CorpusStats({tag: TagCount(tokens[tag], len(surfaces[tag])) for tag in tokens})
+    return {tag: TagCount(tokens[tag], len(surfaces[tag])) for tag in tokens}
 
 
-def format_stats_table(stats_by_split: dict[str, CorpusStats]) -> str:
+def format_stats_table(stats_by_split: dict[str, dict[str, TagCount]]) -> str:
     """Counts table: one row per tag, one column per split, cells "tokens (types)"; entity
     tags sorted lexicographically, the non-entity tag O last."""
     splits = list(stats_by_split)
-    tags = {tag for stats in stats_by_split.values() for tag in stats.per_tag}
+    tags = {tag for stats in stats_by_split.values() for tag in stats}
     rows = [["tag", *splits]]
     for tag in sorted(tags, key=lambda t: (t == NEGATIVE_TAG, t)):
         row = [tag]
         for split in splits:
-            tc = stats_by_split[split].per_tag.get(tag)
+            tc = stats_by_split[split].get(tag)
             row.append(f"{tc.tokens:,} ({tc.types:,})" if tc else "-")
         rows.append(row)
     return format_table(rows)

@@ -62,28 +62,9 @@ class SparseVector:
     def empty(cls) -> "SparseVector":
         return cls([], [])
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "SparseVector":
-        """Build from (index, value) pairs in any order; duplicate indices are an error."""
-        items = sorted(pairs)
-        if not items:
-            return cls([], [])
-        idx, val = zip(*items)
-        return cls(idx, val)
-
-    @classmethod
-    def from_dict(cls, mapping) -> "SparseVector":
-        return cls.from_pairs(mapping.items())
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
-
-    def to_pairs(self) -> list[tuple[int, float]]:
-        return list(zip(self.indices.tolist(), self.values.tolist()))
-
-    def __len__(self) -> int:
-        return self.nnz
 
     def __eq__(self, other):
         if not isinstance(other, SparseVector):
@@ -93,7 +74,7 @@ class SparseVector:
         )
 
     def __repr__(self):
-        inner = ", ".join(f"{i}: {v:g}" for i, v in self.to_pairs())
+        inner = ", ".join(f"{i}: {v:g}" for i, v in zip(self.indices.tolist(), self.values.tolist()))
         return f"SparseVector({{{inner}}})"
 
 

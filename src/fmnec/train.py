@@ -102,11 +102,12 @@ def loss_value(loss: str, score: float, y: int) -> float:
 def _loss_and_slope(loss: str, score: float, y: int) -> tuple[float, float]:
     """Loss and dL/dscore, both stable on the tails of the logistic.
 
-    Hinge takes subgradient 0 at the kink (margin exactly 1).
+    Hinge takes subgradient 0 at the kink (margin exactly 1), and a NaN score
+    gives a NaN loss, which the divergence check reports.
     """
     margin = y * score
     if loss == "hinge":
-        if margin < 1.0:
+        if not margin >= 1.0:
             return 1.0 - margin, -float(y)
         return 0.0, 0.0
     # logistic: log(1 + e^-margin) and -y * sigmoid(-margin)

@@ -282,10 +282,10 @@ def test_criterion_7_conll2003_reproduction():
         }
         print()
         print(format_stats_table(stats))
-        train_per = stats["training"].per_tag["PER"]
+        train_per = stats["training"]["PER"]
         assert abs(train_per.tokens - 6516) <= 0.05 * 6516
         assert abs(train_per.types - 3489) <= 0.05 * 3489
-        dev_per = stats["dev"].per_tag["PER"]
+        dev_per = stats["dev"]["PER"]
         assert abs(dev_per.tokens - 1040) <= 0.05 * 1040
 
         space = FeatureSpace.fit(train_cands)

@@ -2,10 +2,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fmnec
-from fmnec import FeatureSpace, cli, load_ova_model, read_candidates_tsv
+from fmnec import (
+    FeatureSpace,
+    FMModel,
+    OvAModel,
+    cli,
+    load_ova_model,
+    read_candidates_tsv,
+    save_ova_model,
+)
 from fmnec.cli import main
 
 from helpers import usable_cpus, write_xor_corpus
@@ -298,6 +307,32 @@ class TestExitCodes:
         ]) == 1
         assert "diverged" in capsys.readouterr().err
         assert not (out / "ova_model.txt").exists()
+
+    def test_nan_hinge_training_is_config_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "m"
+        assert main([
+            "train", "--candidates", str(pipeline["prepared"] / "train.candidates.tsv"),
+            "--k", "2", "--epochs", "2", "--init-sd", "1e300", "--out", str(out),
+        ]) == 1
+        assert "training diverged at epoch 1: the mean loss (nan)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_model_whose_scores_overflow_is_data_error(self, pipeline, tmp_path, capsys,
+                                                       command):
+        # finite factors of 1e200 load fine, but their squares overflow every score
+        n = len(FeatureSpace.load(pipeline["space"]))
+        huge = FMModel(0.0, np.zeros(n), np.full((n, 2), 1e200))
+        model = tmp_path / "huge.txt"
+        save_ova_model(OvAModel(["O", "PER"], [huge, huge]), model)
+        out = tmp_path / "out"
+        assert main([
+            command, "--model", str(model), "--space", str(pipeline["space"]),
+            "--candidates", str(pipeline["test_candidates"]), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: the model's scores overflow: its parameters are too large\n")
+        assert not out.exists()
 
 
 def _run_cli(*argv):

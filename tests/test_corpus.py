@@ -173,20 +173,18 @@ class TestCorpusStats:
             Candidate(["B"], gold_tag="LOC"),
         ]
         stats = corpus_stats(cands)
-        assert stats.per_tag["PER"].tokens == 2
-        assert stats.per_tag["PER"].types == 1  # case-insensitive types
-        assert stats.per_tag["LOC"].tokens == 1
-        assert stats.per_tag["LOC"].types == 1
+        assert stats["PER"].tokens == 2
+        assert stats["PER"].types == 1  # case-insensitive types
+        assert stats["LOC"].tokens == 1
+        assert stats["LOC"].types == 1
 
     def test_empty(self):
-        stats = corpus_stats([])
-        assert stats.per_tag == {}
-        assert stats.total_tokens == 0
+        assert corpus_stats([]) == {}
 
     def test_tokens_sum_to_candidate_count(self):
         cands = [Candidate([t], gold_tag=tag) for t, tag in
                  [("A", "PER"), ("B", "LOC"), ("C", "PER"), ("D", "O")]]
-        assert corpus_stats(cands).total_tokens == len(cands)
+        assert sum(tc.tokens for tc in corpus_stats(cands).values()) == len(cands)
 
     def test_untagged_candidate_rejected(self):
         with pytest.raises(ConfigError):

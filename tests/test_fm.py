@@ -21,15 +21,11 @@ class TestSparseVector:
     def test_empty(self):
         x = SparseVector.empty()
         assert x.nnz == 0
-        assert len(x) == 0
+        assert x.indices.tolist() == [] and x.values.tolist() == []
 
-    def test_from_pairs_sorts(self):
-        x = SparseVector.from_pairs([(7, 2.0), (0, 1.0)])
-        assert x.to_pairs() == [(0, 1.0), (7, 2.0)]
-
-    def test_from_dict(self):
-        x = SparseVector.from_dict({3: 2.0, 1: -1.0})
-        assert x.to_pairs() == [(1, -1.0), (3, 2.0)]
+    def test_repr(self):
+        assert repr(SparseVector([1, 3], [-1.0, 2.5])) == "SparseVector({1: -1, 3: 2.5})"
+        assert repr(SparseVector.empty()) == "SparseVector({})"
 
     @pytest.mark.parametrize(
         "indices,values",
@@ -45,10 +41,6 @@ class TestSparseVector:
     def test_rejects_invalid(self, indices, values):
         with pytest.raises(ValueError):
             SparseVector(indices, values)
-
-    def test_from_pairs_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            SparseVector.from_pairs([(4, 1.0), (4, 2.0)])
 
     def test_equality(self):
         a = SparseVector([0, 2], [1.0, 3.0])

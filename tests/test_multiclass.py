@@ -104,6 +104,12 @@ class TestTrainOva:
         with np.errstate(all="ignore"), pytest.raises(ConfigError, match="label ENT: .*epoch 1"):
             train_ova(make_xor_tagged(10, 1), 2, config)
 
+    def test_nan_hinge_scores_diverge_at_epoch_1(self):
+        # factors of ~1e300 overflow the two-feature scores to NaN
+        config = TrainConfig(k=2, init_sd=1e300, epochs=2)
+        with pytest.raises(ConfigError, match=r"epoch 1: the mean loss \(nan\)"):
+            train_ova(make_xor_tagged(10, 1), 2, config)
+
     def test_empty_data_rejected(self):
         with pytest.raises(ConfigError):
             train_ova([], 2, cfg())

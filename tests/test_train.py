@@ -212,6 +212,11 @@ class TestLossValue:
         assert loss_value("logistic", -1000.0, 1) == pytest.approx(1000.0)
         assert loss_value("logistic", 1000.0, 1) == 0.0
 
+    @pytest.mark.parametrize("y", [1, -1])
+    def test_hinge_nan_score_is_nan(self, y):
+        # a NaN margin fails every comparison, so it must not pass as "past the margin"
+        assert math.isnan(loss_value("hinge", float("nan"), y))
+
     def test_rejects_bad_label(self):
         with pytest.raises(ValueError):
             loss_value("hinge", 0.0, 2)
