@@ -55,6 +55,10 @@ CONFUSION_TSV = "confusion.tsv"
 
 
 class _Parser(argparse.ArgumentParser):
+    # flags are spelled out in full, so a new flag cannot change an existing command line
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits 2 on usage errors by default; this tool reserves 2 for
     # data errors, so usage problems are remapped to exit code 1
     def error(self, message):
@@ -62,36 +66,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_train_flags(sp, sweep=False):
-    if sweep:  # declared, so argparse cannot take --k for an abbreviation of --k-values
-        sp.add_argument("--k", help="not taken: --k-values sets k")
-    else:
-        sp.add_argument("--k", type=int, default=TrainConfig.k,
-                        help="factorization dimension (0 = linear)")
-    sp.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+def _add_train_flags(sp):
+    """Every TrainConfig field but k, each flag's dest its field name."""
+    sp.add_argument("--lr", dest="learning_rate", metavar="LR", type=float,
                     help="SGD learning rate")
-    sp.add_argument("--reg-w", type=float, default=TrainConfig.reg_w,
-                    help="L2 coefficient for linear weights")
-    sp.add_argument("--reg-v", type=float, default=TrainConfig.reg_v,
-                    help="L2 coefficient for factor rows")
-    sp.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    sp.add_argument("--init-sd", type=float, default=TrainConfig.init_sd,
-                    help="std-dev of factor initialization")
-    sp.add_argument("--seed", type=int, default=TrainConfig.seed)
-    sp.add_argument("--loss", choices=LOSS_KINDS, default=TrainConfig.loss)
+    sp.add_argument("--reg-w", type=float, help="L2 coefficient for linear weights")
+    sp.add_argument("--reg-v", type=float, help="L2 coefficient for factor rows")
+    sp.add_argument("--epochs", type=int)
+    sp.add_argument("--init-sd", type=float, help="std-dev of factor initialization")
+    sp.add_argument("--seed", type=int)
+    sp.add_argument("--loss", choices=LOSS_KINDS)
 
 
-def _train_config(args, k) -> TrainConfig:
-    return TrainConfig(
-        k=k,
-        learning_rate=args.lr,
-        reg_w=args.reg_w,
-        reg_v=args.reg_v,
-        epochs=args.epochs,
-        init_sd=args.init_sd,
-        seed=args.seed,
-        loss=args.loss,
-    )
+def _train_config(args) -> TrainConfig:
+    """TrainConfig's own defaults, overridden by every training flag given."""
+    given = {name: getattr(args, name, None) for name in TrainConfig.__dataclass_fields__}
+    return TrainConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _require_files(*paths):
@@ -195,7 +185,7 @@ def cmd_stats(args):
 
 def cmd_train(args):
     _check_out_dir(args.out)
-    config = _train_config(args, args.k)
+    config = _train_config(args)
     space, data = _training_set(args.candidates)
 
     def on_epoch(label, epoch, mean_loss):
@@ -267,13 +257,11 @@ def cmd_eval(args):
 
 def cmd_sweep_k(args):
     _check_out_file(args.out)
-    if args.k is not None:
-        raise ConfigError("sweep-k takes no --k: --k-values sets k")
     try:
         k_values = [int(part) for part in args.k_values.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"--k-values must be comma-separated integers: {args.k_values!r}") from None
-    config = _train_config(args, TrainConfig.k)
+    config = _train_config(args)
     sweep_configs(k_values, config)  # every config is checked before any input is read
     space, train = _training_set(args.train)
     dev = _vectorized(space, _read_candidates(args.dev, need_gold=True))
@@ -310,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="fit the feature space and train the multiclass model")
     sp.add_argument("--candidates", required=True, help="training candidates TSV")
+    sp.add_argument("--k", type=int, help="factorization dimension (0 = linear)")
     _add_train_flags(sp)
     sp.add_argument("--out", required=True, help="output directory for model and feature space")
     sp.set_defaults(func=cmd_train)
@@ -334,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dev", required=True, help="development candidates TSV")
     sp.add_argument("--k-values", required=True,
                     help="comma-separated distinct k values, e.g. 0,1,2,5,8")
-    _add_train_flags(sp, sweep=True)
+    _add_train_flags(sp)
     sp.add_argument("--out", required=True, help="output two-column TSV")
     sp.set_defaults(func=cmd_sweep_k)
 

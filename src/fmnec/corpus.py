@@ -21,12 +21,15 @@ from .util import atomic_write, first_bad_token, format_table, open_text
 NEGATIVE_TAG = "O"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Sentence:
-    """One sentence as (surface, BIO tag) pairs."""
+    """One sentence as a tuple of (surface, BIO tag) pairs."""
 
-    tokens: list[tuple[str, str]]
+    tokens: tuple[tuple[str, str], ...]
     _parsed = False  # True from parse_column_file alone: tags repaired, each token checked
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(self.tokens))
 
     @property
     def words(self) -> list[str]:
@@ -63,8 +66,8 @@ def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[
         if current:
             words = [word for word, _ in current]
             tags = (shared(tag, tag) for tag in repair_bio(tag for _, tag in current))
-            sentences.append(Sentence(list(zip(words, tags))))
-            sentences[-1]._parsed = True
+            sentences.append(Sentence(zip(words, tags)))
+            object.__setattr__(sentences[-1], "_parsed", True)
             current.clear()
 
     with open_text(path) as fh:
@@ -104,11 +107,9 @@ def extract_candidates(sentences) -> list[Candidate]:
     out = []
     shared = {}.setdefault  # one str per entity type, not one per span
     for sentence in sentences:
-        words, tags, trusted = sentence.words, sentence.tags, sentence._parsed
-        if not trusted:  # built by hand: one that fails gets the public constructor's error
-            tags = repair_bio(tags)
-            trusted = "B-" not in tags and first_bad_token(words + tags) is None
-        build = Candidate._unchecked if trusted else Candidate
+        words, tags, build = sentence.words, sentence.tags, Candidate._unchecked
+        if not sentence._parsed:  # built by hand: every candidate gets the public constructor
+            tags, build = repair_bio(tags), Candidate
         pos = 0
         while pos < len(words):
             tag = tags[pos]

@@ -52,6 +52,8 @@ def evaluate(gold, pred) -> EvalReport:
         raise ConfigError("nothing to evaluate")
     if len(gold) != len(pred):
         raise ConfigError(f"gold and prediction lengths differ: {len(gold)} vs {len(pred)}")
+    if not all(isinstance(tag, str) for tag in gold + pred):
+        raise ConfigError("every gold and predicted tag must be a string")
     labels = sorted(set(gold) | set(pred))
     index = {tag: i for i, tag in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)

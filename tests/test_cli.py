@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from fmnec import (
     FeatureSpace,
     FMModel,
     OvAModel,
+    TrainConfig,
     cli,
     load_ova_model,
     read_candidates_tsv,
@@ -409,9 +412,6 @@ def test_unallocatable_k_is_config_error(pipeline, tmp_path, command):
     ("sweep-k", ["--k-values", "-1"], "k must be >= 0"),
     ("sweep-k", ["--k-values", ","], "no k values to sweep"),
     ("sweep-k", ["--k-values", "5,0,5"], "k=5 appears twice in the k values"),
-    # --k is not an abbreviation of --k-values, and no value of it is taken
-    ("sweep-k", ["--k", "5"], "sweep-k takes no --k: --k-values sets k"),
-    ("sweep-k", ["--k=-5"], "sweep-k takes no --k: --k-values sets k"),
 ])
 def test_bad_config_is_reported_before_any_input_is_read(tmp_path, command, flags, message):
     # the inputs do not exist: reading them first would report that instead
@@ -424,6 +424,67 @@ def test_bad_config_is_reported_before_any_input_is_read(tmp_path, command, flag
     result = _run_cli(*argv, *flags)
     assert result.returncode == 1
     assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags", [["--k", "5"], ["--k=-5"]])
+def test_sweep_k_has_no_k_flag(tmp_path, flags):
+    # --k-values alone sets k: --k is a usage error, reported before the missing inputs
+    missing = str(tmp_path / "missing.tsv")
+    result = _run_cli("sweep-k", "--train", missing, "--dev", missing, "--k-values", "0,2",
+                      "--out", str(tmp_path / "k.tsv"), *flags)
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage: fmnec ")
+    assert result.stderr.endswith(f"fmnec: error: unrecognized arguments: {' '.join(flags)}\n")
+    assert "missing.tsv" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "eval", "sweep-k", "prepare"])
+def test_abbreviated_flag_is_usage_error(corpus, pipeline, tmp_path, command):
+    # each command line would run, and write, with the flag spelled out
+    train = str(pipeline["prepared"] / "train.candidates.tsv")
+    test = str(pipeline["test_candidates"])
+    model, space = str(pipeline["model"]), str(pipeline["space"])
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", "--cand", train, "--epochs", "1"],
+        "predict": ["predict", "--mod", model, "--space", space, "--candidates", test],
+        "eval": ["eval", "--model", model, "--space", space, "--candidates", test, "--pr-curve"],
+        "sweep-k": ["sweep-k", "--train", train, "--dev", test, "--k-val", "0", "--epochs", "1"],
+        "prepare": ["prepare", "--train", str(corpus[0]), "--tok", "0"],
+    }[command]
+    result = _run_cli(*argv, "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage: fmnec ")
+    assert ": error: " in result.stderr.splitlines()[-1]
+    assert "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command, flagless", [("train", set()), ("sweep-k", {"k"})])
+def test_every_train_config_field_is_one_flag(command, flagless):
+    # a field added without a flag would silently take its default
+    dests = [action.dest for action in _subparsers()[command]._actions]
+    names = [field.name for field in dataclasses.fields(TrainConfig)]
+    assert {name: dests.count(name) for name in names} == {
+        name: int(name not in flagless) for name in names}
+
+
+def test_train_config_takes_every_given_flag():
+    parse = _subparsers()["train"].parse_args
+    base = ["--candidates", "c.tsv", "--out", "m"]
+    assert cli._train_config(parse(base)) == TrainConfig()
+    flags = ["--k", "3", "--lr", "0.5", "--reg-w", "0.25", "--reg-v", "0.125", "--epochs", "7",
+             "--init-sd", "0.75", "--seed", "9", "--loss", "logistic"]
+    assert cli._train_config(parse(base + flags)) == TrainConfig(
+        k=3, learning_rate=0.5, reg_w=0.25, reg_v=0.125, epochs=7, init_sd=0.75, seed=9,
+        loss="logistic")
 
 
 def test_growing_decay_is_config_error(pipeline, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +33,7 @@ class TestParseColumnFile:
     def test_column_selection(self, tmp_path):
         path = self.write(tmp_path, "EU NNP B-NP B-ORG\n")
         [sentence] = parse_column_file(path, token_column=0, tag_column=3)
-        assert sentence.tokens == [("EU", "B-ORG")]
+        assert sentence.tokens == (("EU", "B-ORG"),)
 
     def test_blank_line_separates_sentences(self, tmp_path):
         path = self.write(tmp_path, "a X X O\n\nb X X O\n")
@@ -64,11 +66,30 @@ class TestParseColumnFile:
     def test_negative_column_index(self, tmp_path):
         path = self.write(tmp_path, "EU NNP B-NP B-ORG\n")
         [sentence] = parse_column_file(path, token_column=0, tag_column=-1)
-        assert sentence.tokens == [("EU", "B-ORG")]
+        assert sentence.tokens == (("EU", "B-ORG"),)
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             parse_column_file(tmp_path / "missing.txt")
+
+    def test_parsed_sentence_cannot_be_changed(self, tmp_path):
+        # its candidates skip the checks, so tokens added after parsing would skip them too
+        [sentence] = parse_column_file(self.write(tmp_path, "EU NNP B-NP B-ORG\n"))
+        with pytest.raises(AttributeError):
+            sentence.tokens.append(("two words", "B-PER"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sentence.tokens = [("two words", "B-PER")]
+        assert sentence.tokens == (("EU", "B-ORG"),)
+
+    @pytest.mark.parametrize("pair, message", [
+        (("two words", "B-PER"), "tokens must be non-empty and whitespace-free: 'two words'"),
+        (("Zed", "B-"), "gold tag must be non-empty and whitespace-free: ''"),
+    ])
+    def test_parsed_tokens_in_a_new_sentence_are_checked(self, tmp_path, pair, message):
+        [parsed] = parse_column_file(self.write(tmp_path, "EU NNP B-NP B-ORG\n"))
+        with pytest.raises(ValueError) as err:
+            extract_candidates([Sentence(parsed.tokens + (pair,))])
+        assert str(err.value) == message
 
 
 class TestRepairBio:

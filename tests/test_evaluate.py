@@ -95,6 +95,15 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate([], [])
 
+    @pytest.mark.parametrize("gold, pred", [
+        ([None], ["PER"]),
+        (["PER"], [None]),
+        (["PER", 1], ["PER", "O"]),
+    ], ids=["missing-gold", "missing-pred", "int-gold"])
+    def test_non_string_tag_rejected(self, gold, pred):
+        with pytest.raises(ConfigError, match="^every gold and predicted tag must be a string$"):
+            evaluate(gold, pred)
+
 
 class TestPrCurve:
     def test_single_positive(self):
