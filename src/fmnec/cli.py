@@ -290,25 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--token-col", type=int, default=0, help="token column index")
     sp.add_argument("--tag-col", type=int, default=3, help="BIO tag column index")
     sp.add_argument("--out", required=True, help="output directory for candidates files")
-    sp.set_defaults(func=cmd_prepare)
+    sp.set_defaults(func=cmd_prepare, parser=sp)
 
     sp = sub.add_parser("stats", help="print token/type counts for candidates files")
     sp.add_argument("candidates", nargs="+", help="candidates TSV files")
-    sp.set_defaults(func=cmd_stats)
+    sp.set_defaults(func=cmd_stats, parser=sp)
 
     sp = sub.add_parser("train", help="fit the feature space and train the multiclass model")
     sp.add_argument("--candidates", required=True, help="training candidates TSV")
     sp.add_argument("--k", type=int, help="factorization dimension (0 = linear)")
     _add_train_flags(sp)
     sp.add_argument("--out", required=True, help="output directory for model and feature space")
-    sp.set_defaults(func=cmd_train)
+    sp.set_defaults(func=cmd_train, parser=sp)
 
     sp = sub.add_parser("predict", help="tag candidates with a trained model")
     sp.add_argument("--model", required=True)
     sp.add_argument("--space", required=True)
     sp.add_argument("--candidates", required=True)
     sp.add_argument("--out", required=True, help="output predictions TSV")
-    sp.set_defaults(func=cmd_predict)
+    sp.set_defaults(func=cmd_predict, parser=sp)
 
     sp = sub.add_parser("eval", help="evaluate a trained model on gold candidates")
     sp.add_argument("--model", required=True)
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--candidates", required=True)
     sp.add_argument("--pr-curves", action="store_true", help="also write per-tag PR curves")
     sp.add_argument("--out", required=True, help="output directory for report files")
-    sp.set_defaults(func=cmd_eval)
+    sp.set_defaults(func=cmd_eval, parser=sp)
 
     sp = sub.add_parser("sweep-k", help="train per k value and report dev micro-F1")
     sp.add_argument("--train", required=True, help="training candidates TSV")
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated distinct k values, e.g. 0,1,2,5,8")
     _add_train_flags(sp)
     sp.add_argument("--out", required=True, help="output two-column TSV")
-    sp.set_defaults(func=cmd_sweep_k)
+    sp.set_defaults(func=cmd_sweep_k, parser=sp)
 
     return parser
 
@@ -333,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:  # reported with the usage line of the command they were given to
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)

@@ -9,6 +9,7 @@ candidates whose surface form already occurs among training candidates.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -23,13 +24,21 @@ NEGATIVE_TAG = "O"
 
 @dataclass(frozen=True)
 class Sentence:
-    """One sentence as a tuple of (surface, BIO tag) pairs."""
+    """One sentence as a tuple of (surface, BIO tag) pairs.  Words and tags meet Candidate's
+    token rule and every tag is typed; the tags are stored repaired by repair_bio, interned."""
 
     tokens: tuple[tuple[str, str], ...]
-    _parsed = False  # True from parse_column_file alone: tags repaired, each token checked
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        words = [word for word, _ in self.tokens]
+        tags = [tag for _, tag in self.tokens]
+        if "B-" in tags or "I-" in tags:
+            untyped = next(tag for tag in tags if tag in ("B-", "I-"))
+            raise ValueError(f"BIO tag {untyped!r} has no entity type")
+        bad = first_bad_token((*words, *tags))
+        if bad is not None:
+            raise ValueError(f"tokens must be non-empty and whitespace-free: {bad!r}")
+        object.__setattr__(self, "tokens", tuple(zip(words, map(sys.intern, repair_bio(tags)))))
 
     @property
     def words(self) -> list[str]:
@@ -53,63 +62,53 @@ def repair_bio(tags) -> list[str]:
 
 
 def parse_column_file(path, token_column: int = 0, tag_column: int = 3) -> list[Sentence]:
-    """Read sentences from a whitespace-column token file, repairing BIO tags.
+    """Read sentences from a whitespace-column token file; ``Sentence`` repairs the tags.
 
-    Equal tokens and equal tags are one ``str`` object each: a corpus
-    repeats a few thousand distinct strings a hundred thousand times.
+    Equal tokens are one ``str`` object each: a corpus repeats a few thousand
+    distinct strings a hundred thousand times.
     """
     sentences: list[Sentence] = []
     current: list[tuple[str, str]] = []
     shared = {}.setdefault
-
-    def flush():
-        if current:
-            words = [word for word, _ in current]
-            tags = (shared(tag, tag) for tag in repair_bio(tag for _, tag in current))
-            sentences.append(Sentence(zip(words, tags)))
-            object.__setattr__(sentences[-1], "_parsed", True)
-            current.clear()
-
     with open_text(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
-                flush()
+                if current:
+                    sentences.append(Sentence(current))
+                    current = []
                 continue
             if line.startswith("-DOCSTART-"):
                 continue
             cols = line.split()
-            for col in (token_column, tag_column):
-                if col >= len(cols) or col < -len(cols):
-                    raise DataFormatError(
-                        f"row has {len(cols)} columns, column {col} requested",
-                        path=str(path),
-                        line=lineno,
-                    )
-            tag = cols[tag_column]
+            try:
+                word, tag = cols[token_column], cols[tag_column]
+            except IndexError:
+                col = next(c for c in (token_column, tag_column) if not -len(cols) <= c < len(cols))
+                raise DataFormatError(f"row has {len(cols)} columns, column {col} requested",
+                                      path=str(path), line=lineno) from None
             if tag in ("B-", "I-"):
                 raise DataFormatError(
                     f"BIO tag {tag!r} has no entity type", path=str(path), line=lineno
                 )
-            word = cols[token_column]
             current.append((shared(word, word), tag))
-    flush()
+    if current:
+        sentences.append(Sentence(current))
     return sentences
 
 
 def extract_candidates(sentences) -> list[Candidate]:
     """Entity-span candidates plus capitalized non-entity tokens (gold tag O).
 
-    After ``repair_bio`` a span is a B-X tag plus the I-X tags right after it;
-    every other tag counts as O.  Contexts are all remaining sentence tokens
-    on each side of the span.
+    A ``Sentence``'s tags are repaired, so a span is a B-X tag plus the I-X
+    tags right after it; every other tag counts as O.  Contexts are all
+    remaining sentence tokens on each side of the span.
     """
     out = []
     shared = {}.setdefault  # one str per entity type, not one per span
+    build = Candidate._unchecked  # a Sentence's words and tags meet Candidate's rules
     for sentence in sentences:
-        words, tags, build = sentence.words, sentence.tags, Candidate._unchecked
-        if not sentence._parsed:  # built by hand: every candidate gets the public constructor
-            tags, build = repair_bio(tags), Candidate
+        words, tags = sentence.words, sentence.tags
         pos = 0
         while pos < len(words):
             tag = tags[pos]

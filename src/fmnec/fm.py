@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DataFormatError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .util import G17, LineCursor, atomic_write, open_text
 
 MODEL_FORMAT_HEADER = "FMMODEL v1"
@@ -304,17 +304,11 @@ def _load_model_file(path, read_block):
     """The one block ``read_block`` parses from the file; nothing may follow it.
 
     The file is parsed as it is read, so a load holds one block of text at a
-    time.  An undecodable line anywhere in the file is still the error reported,
-    ahead of any parse error, as if the whole file had been decoded first.
+    time.
     """
     with open_text(path) as fh:
         cursor = LineCursor(fh, path=str(path))
-        try:
-            model = read_block(cursor)
-            if not cursor.at_end():
-                raise cursor.error("trailing content after model block")
-        except DataFormatError:
-            for _ in fh:  # a decode error in the rest of the file takes precedence
-                pass
-            raise
+        model = read_block(cursor)
+        if not cursor.at_end():
+            raise cursor.error("trailing content after model block")
     return model

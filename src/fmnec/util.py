@@ -73,17 +73,20 @@ def atomic_write(path):
 def open_text(path):
     """Open a UTF-8 text file for reading.
 
-    A decode error anywhere in the file becomes a ``DataFormatError`` naming
-    the first line that is not valid UTF-8.  The file is scanned for that
-    line only once decoding has failed, so valid input costs nothing extra.
+    A decode error anywhere in the file is the error raised: it becomes a
+    ``DataFormatError`` naming the first line that is not valid UTF-8, and a
+    ``DataFormatError`` raised while the file is open yields to it, as if the
+    whole file had been decoded first.  The file is scanned for that line only
+    once reading has failed, so valid input costs nothing extra.
     """
     with open(path, encoding="utf-8") as fh:
         try:
             yield fh
-        except UnicodeDecodeError:
-            raise DataFormatError(
-                "not valid UTF-8 text", path=str(path), line=_first_undecodable_line(path)
-            ) from None
+        except (UnicodeDecodeError, DataFormatError) as exc:
+            line = _first_undecodable_line(path)
+            if line is None and isinstance(exc, DataFormatError):
+                raise
+            raise DataFormatError("not valid UTF-8 text", path=str(path), line=line) from None
 
 
 def _first_undecodable_line(path) -> int | None:

@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
+import math
 import os
+import random
+import re
+import shutil
 import subprocess
 import sys
 
@@ -433,9 +437,30 @@ def test_sweep_k_has_no_k_flag(tmp_path, flags):
     result = _run_cli("sweep-k", "--train", missing, "--dev", missing, "--k-values", "0,2",
                       "--out", str(tmp_path / "k.tsv"), *flags)
     assert result.returncode == 1
-    assert result.stderr.startswith("usage: fmnec ")
-    assert result.stderr.endswith(f"fmnec: error: unrecognized arguments: {' '.join(flags)}\n")
+    assert result.stderr.startswith("usage: fmnec sweep-k ")
+    assert result.stderr.endswith(
+        f"fmnec sweep-k: error: unrecognized arguments: {' '.join(flags)}\n")
     assert "missing.tsv" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["prepare", "stats", "train", "predict", "eval", "sweep-k"])
+def test_unknown_flag_is_reported_by_its_command(tmp_path, capsys, command):
+    # each command line is complete but for the flag; the missing inputs are never read
+    missing = str(tmp_path / "missing")
+    required = {
+        "prepare": ["--train", missing], "stats": [missing],
+        "train": ["--candidates", missing], "predict": ["--model", missing, "--space", missing,
+                                                        "--candidates", missing],
+        "eval": ["--model", missing, "--space", missing, "--candidates", missing],
+        "sweep-k": ["--train", missing, "--dev", missing, "--k-values", "0"],
+    }[command]
+    out = [] if command == "stats" else ["--out", str(tmp_path / "out")]
+    assert main([command, *required, *out, "--bogus", "1"]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"usage: fmnec {command} ")
+    assert err.endswith(f"fmnec {command}: error: unrecognized arguments: --bogus 1\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -724,3 +749,87 @@ def test_scoring_starts_no_process(pipeline, monkeypatch, capfd, tmp_path, cpus,
                               pipeline["test_candidates"], target)) == 0
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.*")) == written
     assert ("micro" in capfd.readouterr().out) == (command == "eval")
+
+
+def _mutated(data: bytes, rng: random.Random) -> bytes:
+    """``data`` after one to three seeded byte-level edits."""
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(data) + 1)
+        lines = data.splitlines(keepends=True) or [b""]
+        line = rng.randrange(len(lines))
+        edit = rng.choice(["flip", "insert", "number", "delete", "duplicate", "truncate"])
+        if edit == "flip" and pos < len(data):
+            data = data[:pos] + bytes([data[pos] ^ 1 << rng.randrange(8)]) + data[pos + 1:]
+        elif edit == "insert":
+            byte = rng.choice([b"\t", b"\n", b"\x00", b"\xff", b"\xc3", b" "])
+            data = data[:pos] + byte + data[pos:]
+        elif edit == "number" and data.split():  # one whitespace-free token becomes a number
+            token = rng.choice(list(re.finditer(rb"\S+", data)))
+            data = (data[:token.start()] + rng.choice([b"nan", b"1e999", b"-1e999", b"inf"])
+                    + data[token.end():])
+        elif edit in ("delete", "duplicate"):
+            lines[line:line + 1] = [] if edit == "delete" else [lines[line]] * 2
+            data = b"".join(lines)
+        elif edit == "truncate":
+            data = data[:pos]
+    return data
+
+
+def _tsv_rows(path):
+    """The rows of a written TSV file; every row has the first row's field count."""
+    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    assert rows and {len(row) for row in rows} == {len(rows[0])}, path
+    return rows
+
+
+def _loads_prepared(target):
+    for path in target.iterdir():
+        read_candidates_tsv(path)
+
+
+def _loads_predictions(target):
+    for row in _tsv_rows(target)[1:]:
+        assert all(math.isfinite(float(value)) for value in row[2:])
+
+
+def _loads_report(target):
+    assert "micro" in (target / "report.txt").read_text(encoding="utf-8")
+    for path in target.glob("*.tsv"):
+        _tsv_rows(path)
+
+
+@pytest.mark.parametrize("command", ["prepare", "predict", "eval"])
+def test_mutated_input_fails_clean(corpus, pipeline, tmp_path, capsys, command):
+    """Seeded mutations of the column file (prepare), the model file (predict) and the
+    candidates file (eval --pr-curves): each run exits 0, 1 or 2 and raises nothing; a
+    failing run prints one error line and writes nothing, and what a passing run writes
+    loads."""
+    source, loads = {"prepare": (corpus[0], _loads_prepared),
+                     "predict": (pipeline["model"], _loads_predictions),
+                     "eval": (pipeline["test_candidates"], _loads_report)}[command]
+    original = source.read_bytes()
+    mutant, work = tmp_path / "input", tmp_path / "work"
+    work.mkdir()
+    target = work / ("predictions.tsv" if command == "predict" else "out")
+    argv = {
+        "prepare": ["prepare", "--train", str(mutant), "--out", str(target)],
+        "predict": _scoring_argv("predict", mutant, pipeline["space"],
+                                 pipeline["test_candidates"], target),
+        "eval": _scoring_argv("eval", pipeline["model"], pipeline["space"], mutant, target),
+    }[command]
+    codes = []
+    for copy in range(300):
+        mutant.write_bytes(_mutated(original, random.Random(f"{command} {copy}")))
+        codes.append(main(argv))
+        stdout, err = capsys.readouterr()
+        assert codes[-1] in (0, 1, 2)
+        if codes[-1]:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            assert list(work.iterdir()) == []
+        else:
+            loads(target)
+            if target.is_dir():
+                shutil.rmtree(target)
+            else:
+                target.unlink()
+    assert 0 in codes and 2 in codes  # the mutations reach both outcomes

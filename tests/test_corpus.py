@@ -83,7 +83,7 @@ class TestParseColumnFile:
 
     @pytest.mark.parametrize("pair, message", [
         (("two words", "B-PER"), "tokens must be non-empty and whitespace-free: 'two words'"),
-        (("Zed", "B-"), "gold tag must be non-empty and whitespace-free: ''"),
+        (("Zed", "B-"), "BIO tag 'B-' has no entity type"),
     ])
     def test_parsed_tokens_in_a_new_sentence_are_checked(self, tmp_path, pair, message):
         [parsed] = parse_column_file(self.write(tmp_path, "EU NNP B-NP B-ORG\n"))
@@ -345,13 +345,60 @@ class TestSharedStrings:
 
 @pytest.mark.parametrize("pairs, message", [
     ([("New York", "B-LOC"), ("fell", "O")], "tokens must be non-empty and whitespace-free: 'New York'"),
-    ([("in", "O"), ("Rome", "B-")], "gold tag must be non-empty and whitespace-free: ''"),
-    ([("Rome", "I-")], "gold tag must be non-empty and whitespace-free: ''"),
-    ([("Rome", "B-A B")], "gold tag must be non-empty and whitespace-free: 'A B'"),
+    ([("in", "O"), ("Rome", "B-")], "BIO tag 'B-' has no entity type"),
+    ([("Rome", "I-")], "BIO tag 'I-' has no entity type"),
+    ([("Rome", "B-A B")], "tokens must be non-empty and whitespace-free: 'B-A B'"),
     ([("x y", "O"), ("Rome", "O")], "tokens must be non-empty and whitespace-free: 'x y'"),
+    # an empty word, whose first character extract_candidates would read
+    ([("", "O"), ("Rome", "O")], "tokens must be non-empty and whitespace-free: ''"),
 ])
 def test_hand_built_sentence_gets_the_constructors_error(pairs, message):
-    # parse_column_file never makes these; extract_candidates checks them as Candidate does
+    # parse_column_file never makes these; Sentence refuses them with its own messages
     with pytest.raises(ValueError) as err:
-        extract_candidates([sent(*pairs)])
+        sent(*pairs)
     assert str(err.value) == message
+
+
+def _valid_token(text):
+    return text.split() == [text]
+
+
+@pytest.fixture(scope="module")
+def column_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("sentence") / "corpus.txt"
+
+
+@given(tokens=st.lists(st.tuples(
+    st.one_of(st.sampled_from(["Rome", "rome", "New", "York", "É", "", "x y", "a\tb", "a\xa0b"]),
+              st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)),
+    st.sampled_from(["O", "X", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-", "I-", "", "B-A B",
+                     "I-\tX", "O\n"]),
+), max_size=6))
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_hand_built_sentence_matches_its_parsed_text(column_file, tokens):
+    valid = all(_valid_token(word) and _valid_token(tag) and tag not in ("B-", "I-")
+                for word, tag in tokens)
+    if not valid:
+        with pytest.raises(ValueError):
+            Sentence(tokens)
+        return
+    sentence = Sentence(tokens)
+    column_file.write_text("".join(f"{word} X X {tag}\n" for word, tag in tokens),
+                           encoding="utf-8")
+    parsed = parse_column_file(column_file)
+    assert parsed == ([sentence] if tokens else [])
+    assert extract_candidates(parsed) == extract_candidates([sentence])
+
+
+@pytest.mark.parametrize("reader, fault, good", [
+    (parse_column_file, b"Rome X\n", b"Rome X X B-LOC\n"),
+    (read_candidates_tsv, b"PER\tRome\n", b"LOC\tRome\t\t\n"),
+], ids=["column-file", "candidates"])
+@pytest.mark.parametrize("gap", [1, 10_000])
+def test_undecodable_line_outranks_an_earlier_fault(tmp_path, reader, fault, good, gap):
+    # the decode error wins however far past the text layer's first chunk it sits
+    path = tmp_path / "input"
+    path.write_bytes(fault + good * (gap - 1) + b"\xff\n" + good)
+    with pytest.raises(DataFormatError) as err:
+        reader(path)
+    assert str(err.value) == f"{path}:{1 + gap}: not valid UTF-8 text"
