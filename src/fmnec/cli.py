@@ -332,10 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args, unknown = parser.parse_known_args(argv)
-        if unknown:  # reported with the usage line of the command they were given to
-            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+        if unknown:  # reported with the usage line of the parser they were given to
+            # fmnec's own flags take no value, so its arguments are those before the command
+            given_to_fmnec = unknown[0] in argv[:argv.index(args.command)]
+            (parser if given_to_fmnec else args.parser).error(
+                f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)

@@ -20,12 +20,14 @@ literal pairwise double loop, kept as an independent cross-check oracle.
 
 from __future__ import annotations
 
+import base64
+
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .util import G17, LineCursor, atomic_write, open_text
+from .util import LineCursor, atomic_write, open_text
 
-MODEL_FORMAT_HEADER = "FMMODEL v1"
+MODEL_FORMAT_HEADER = "FMMODEL v2"
 
 
 class SparseVector:
@@ -219,17 +221,16 @@ class _Batch:
 
 
 def write_fm_model(fh, model: FMModel) -> None:
-    """Emit the FMMODEL v1 text block: header, "n k", w0, w line, V rows."""
-    fh.write(MODEL_FORMAT_HEADER + "\n")
-    fh.write(f"{model.n} {model.k}\n")
-    fh.write(G17 % model.w0 + "\n")
-    fh.write(" ".join([G17] * model.n) % tuple(model.w.tolist()) + "\n")
-    row = " ".join([G17] * model.k) + "\n"
-    fh.writelines(row % tuple(values) for values in model.V.tolist())
+    """Emit the FMMODEL v2 text block: header, "n k", then w0, w and V (row-major), each one
+    line of base64 of its little-endian float64 bytes."""
+    fh.write(f"{MODEL_FORMAT_HEADER}\n{model.n} {model.k}\n")
+    for array in (model.w0, model.w, model.V):  # no copy of the line just to end it
+        fh.write(base64.b64encode(np.ascontiguousarray(array, "<f8")).decode("ascii"))
+        fh.write("\n")
 
 
 def read_fm_model(cursor: LineCursor) -> FMModel:
-    """Parse one FMMODEL v1 block starting at the cursor position."""
+    """Parse one FMMODEL v2 block starting at the cursor position."""
     header = cursor.take("model header")
     if header != MODEL_FORMAT_HEADER:
         raise cursor.error(f"expected {MODEL_FORMAT_HEADER!r} header, got {header!r}")
@@ -240,55 +241,27 @@ def read_fm_model(cursor: LineCursor) -> FMModel:
         raise cursor.error("dimension line must hold two integers: n k") from None
     if n < 0 or k < 0:
         raise cursor.error("model dimensions must be non-negative")
-    w0 = _take_floats(cursor, "bias", 1)[0]
-    w = _take_block(cursor, "linear weights", 1, n)
-    # rows are read before anything is allocated, so a bogus k costs nothing
-    V = _take_block(cursor, "factor row {}", n, k)
+    w0 = _take_array(cursor, "bias", 1)[0]
+    w = _take_array(cursor, "linear weights", n)
+    V = _take_array(cursor, "factor matrix", n * k)
     try:
         return FMModel(w0, w, V.reshape(n, k))
     except ValueError as exc:
         raise cursor.error(str(exc)) from None
 
 
-def _take_block(cursor: LineCursor, what: str, rows: int, count: int) -> np.ndarray:
-    """``rows`` lines of ``count`` floats each, as one flat array; line i is
-    named ``what.format(i)`` in errors.
-
-    One ``np.loadtxt`` parses the block; it gives ``float``'s bits on every
-    token it accepts, but rejects some ``float`` accepts (``1_0``, non-ASCII
-    digits) and skips blank lines.  A rejected or misshapen block is read again
-    line by line with ``float`` from its own lines, which names a bad line.  An
-    all-blank block never reaches loadtxt: it is the empty block (no rows, or
-    k = 0) or an error.
-    """
-    start = cursor.lineno
-    lines = cursor.take_lines(rows)
-    if len(lines) == rows:
-        if not any(map(str.split, lines)):  # loadtxt would warn "input contained no data"
-            if not (rows and count):
-                return np.empty(0)
-        else:
-            try:
-                values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-                if values.shape == (rows, count):
-                    return values.reshape(-1)
-            except ValueError:
-                pass
-    # a short block ends the file, so the block's own lines end where the file does
-    block = LineCursor(lines, cursor.path, start)
-    return np.array(
-        [v for i in range(rows) for v in _take_floats(block, what.format(i), count)]
-    )
-
-
-def _take_floats(cursor: LineCursor, what: str, count: int) -> list[float]:
-    parts = cursor.take(what).split()
-    if len(parts) != count:
-        raise cursor.error(f"expected {count} values for {what}, got {len(parts)}")
+def _take_array(cursor: LineCursor, what: str, count: int) -> np.ndarray:
+    """The next line as ``count`` float64 values; the length is checked before anything is
+    allocated beyond the line, so a bogus ``n k`` costs nothing."""
+    line = cursor.take(what)
     try:
-        return [float(part) for part in parts]
-    except ValueError:
-        raise cursor.error(f"non-numeric value in {what}") from None
+        raw = base64.b64decode(line, validate=True)
+    except ValueError:  # binascii.Error, and a non-ASCII character
+        raise cursor.error(f"invalid base64 in {what}") from None
+    if len(raw) != 8 * count:
+        got = len(raw) // 8 if len(raw) % 8 == 0 else f"{len(raw)} bytes"
+        raise cursor.error(f"expected {count} values for {what}, got {got}")
+    return np.frombuffer(raw, "<f8")
 
 
 def save_fm_model(model: FMModel, path) -> None:
@@ -303,8 +276,8 @@ def load_fm_model(path) -> FMModel:
 def _load_model_file(path, read_block):
     """The one block ``read_block`` parses from the file; nothing may follow it.
 
-    The file is parsed as it is read, so a load holds one block of text at a
-    time.
+    The file is parsed as it is read, so a load holds one array's line of text
+    at a time.
     """
     with open_text(path) as fh:
         cursor = LineCursor(fh, path=str(path))

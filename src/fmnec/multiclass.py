@@ -17,7 +17,7 @@ from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
 from .train import TrainConfig, train_binary
 from .util import LineCursor, atomic_write, derive_seed, first_bad_token
 
-OVA_FORMAT_HEADER = "FMOVA v1"
+OVA_FORMAT_HEADER = "FMOVA v2"
 
 
 @dataclass(eq=False)
@@ -234,8 +234,8 @@ class _Worker:
 
 
 def write_ova_model(fh, model: OvAModel) -> None:
-    """Emit the FMOVA v1 block: header, label count, then per label the tag
-    name line followed by an embedded FMMODEL v1 block."""
+    """Emit the FMOVA v2 block: header, label count, then per label the tag
+    name line followed by an embedded FMMODEL v2 block."""
     fh.write(OVA_FORMAT_HEADER + "\n")
     fh.write(f"{len(model.labels)}\n")
     for label, member in zip(model.labels, model.models):

@@ -6,12 +6,11 @@ import hashlib
 import os
 import secrets
 from contextlib import contextmanager
-from itertools import islice
 
 from .errors import DataFormatError
 
 
-G17 = "%.17g"  # a float's text in every file written: 17 significant digits round-trip
+G17 = "%.17g"  # a score's text in a predictions file: 17 significant digits round-trip
 
 
 def derive_seed(seed: int, *parts: str) -> int:
@@ -112,19 +111,13 @@ class LineCursor:
         self.lineno = lineno  # 1-based number of the last line handed out
 
     def take(self, what: str) -> str:
-        lines = self.take_lines(1)
-        if not lines:
+        """The next line without its newline; ``what`` names it if the file has ended."""
+        line = self._next
+        if line is None:
             raise self.error(f"unexpected end of file while reading {what}")
-        return lines[0].rstrip("\n")
-
-    def take_lines(self, count: int) -> list[str]:
-        """The next ``count`` lines unstripped, fewer only at the end of the file."""
-        if count <= 0 or self._next is None:
-            return []
-        lines = [self._next, *islice(self._lines, count - 1)]
         self._next = next(self._lines, None)
-        self.lineno += len(lines)
-        return lines
+        self.lineno += 1
+        return line.rstrip("\n")
 
     def at_end(self) -> bool:
         return self._next is None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import base64
 import os
 
 import numpy as np
@@ -11,6 +12,11 @@ from fmnec import FMModel, SparseVector
 from fmnec.util import atomic_write
 
 XOR_PATTERNS = [((), -1), ((0,), 1), ((1,), 1), ((0, 1), -1)]
+
+
+def b64_line(*values) -> str:
+    """A model file's line for ``values``: base64 of their little-endian float64 bytes."""
+    return base64.b64encode(np.array(values, "<f8")).decode("ascii")
 
 
 def random_model(rng, n, k, scale=0.5):

@@ -24,7 +24,7 @@ from fmnec import (
 )
 from fmnec.cli import main
 
-from helpers import usable_cpus, write_xor_corpus
+from helpers import b64_line, usable_cpus, write_xor_corpus
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +92,7 @@ class TestTrainCommand:
     def test_wrote_model_and_space(self, pipeline):
         assert pipeline["model"].is_file()
         assert pipeline["space"].is_file()
-        assert pipeline["model"].read_text().startswith("FMOVA v1\n")
+        assert pipeline["model"].read_text().startswith("FMOVA v2\n")
 
     def test_k0_writes_empty_factor_rows(self, corpus, tmp_path):
         train, _ = corpus
@@ -105,10 +105,9 @@ class TestTrainCommand:
         ]) == 0
         lines = (out / "ova_model.txt").read_text().splitlines()
         n_features, k = lines[4].split()  # dimension line of the first member block
-        assert k == "0"
-        # the V block is n empty lines right after the w line
-        v_block = lines[7 : 7 + int(n_features)]
-        assert v_block and all(line == "" for line in v_block)
+        assert k == "0" and int(n_features) > 0
+        # the V line, right after the w line, is empty, and the next label follows
+        assert lines[7] == "" and lines[8] == "PER"
 
     def test_logs_epoch_losses(self, pipeline, caplog):
         # training happened in the fixture; re-run two epochs to observe logs
@@ -444,9 +443,8 @@ def test_sweep_k_has_no_k_flag(tmp_path, flags):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["prepare", "stats", "train", "predict", "eval", "sweep-k"])
-def test_unknown_flag_is_reported_by_its_command(tmp_path, capsys, command):
-    # each command line is complete but for the flag; the missing inputs are never read
+def _complete_argv(command, tmp_path):
+    """A complete command line whose inputs are missing, so nothing is read or written."""
     missing = str(tmp_path / "missing")
     required = {
         "prepare": ["--train", missing], "stats": [missing],
@@ -455,12 +453,28 @@ def test_unknown_flag_is_reported_by_its_command(tmp_path, capsys, command):
         "eval": ["--model", missing, "--space", missing, "--candidates", missing],
         "sweep-k": ["--train", missing, "--dev", missing, "--k-values", "0"],
     }[command]
-    out = [] if command == "stats" else ["--out", str(tmp_path / "out")]
-    assert main([command, *required, *out, "--bogus", "1"]) == 1
+    return [command, *required, *([] if command == "stats" else ["--out", str(tmp_path / "out")])]
+
+
+@pytest.mark.parametrize("command", ["prepare", "stats", "train", "predict", "eval", "sweep-k"])
+def test_unknown_flag_is_reported_by_its_command(tmp_path, capsys, command):
+    # each command line is complete but for the flag; the missing inputs are never read
+    assert main([*_complete_argv(command, tmp_path), "--bogus", "1"]) == 1
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert err.startswith(f"usage: fmnec {command} ")
     assert err.endswith(f"fmnec {command}: error: unrecognized arguments: --bogus 1\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["prepare", "stats", "train", "predict", "eval", "sweep-k"])
+def test_unknown_flag_before_the_command_is_reported_by_fmnec(tmp_path, capsys, command):
+    # fmnec's own arguments are those before the command name
+    assert main(["--bogus", *_complete_argv(command, tmp_path)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("usage: fmnec [-h] [--version] command ...\n")
+    assert err.endswith("fmnec: error: unrecognized arguments: --bogus\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -603,6 +617,24 @@ def test_dead_training_worker_is_one_line(pipeline, tmp_path):
     assert not out.exists()
 
 
+def test_v1_model_file_is_refused(pipeline, tmp_path, capsys):
+    # the decimal format model files had before: retrain to read them
+    model = load_ova_model(pipeline["model"])
+    lines = ["FMOVA v1", str(len(model.labels))]
+    for label, member in zip(model.labels, model.models):
+        lines += [label, "FMMODEL v1", f"{member.n} {member.k}", f"{member.w0:.17g}",
+                  " ".join(f"{v:.17g}" for v in member.w.tolist()),
+                  *(" ".join(f"{v:.17g}" for v in row) for row in member.V.tolist())]
+    v1 = tmp_path / "v1_model.txt"
+    v1.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(_scoring_argv("predict", v1, pipeline["space"], pipeline["test_candidates"],
+                              out)) == 2
+    assert capsys.readouterr() == ("", f"error: {v1}:1: expected 'FMOVA v2' header, "
+                                       "got 'FMOVA v1'\n")
+    assert not out.exists()
+
+
 def test_cli_import_does_not_load_multiprocessing():
     # predict and eval train nothing, so they must not pay for the imports
     # that only forking training workers needs
@@ -657,7 +689,7 @@ class TestLoadOrder:
     @pytest.fixture()
     def files(self, pipeline, tmp_path):
         lines = pipeline["model"].read_text().splitlines(keepends=True)
-        lines[5] = "0.5 0.5\n"  # the first member's bias line
+        lines[5] = b64_line(0.5, 0.5) + "\n"  # the first member's bias line
         rows = pipeline["test_candidates"].read_text().splitlines()
         written = {
             "bad_model": "".join(lines), "bad_space": "a b\n", "small_space": "dummy\n",
@@ -798,28 +830,38 @@ def _loads_report(target):
         _tsv_rows(path)
 
 
-@pytest.mark.parametrize("command", ["prepare", "predict", "eval"])
-def test_mutated_input_fails_clean(corpus, pipeline, tmp_path, capsys, command):
-    """Seeded mutations of the column file (prepare), the model file (predict) and the
-    candidates file (eval --pr-curves): each run exits 0, 1 or 2 and raises nothing; a
-    failing run prints one error line and writes nothing, and what a passing run writes
-    loads."""
-    source, loads = {"prepare": (corpus[0], _loads_prepared),
-                     "predict": (pipeline["model"], _loads_predictions),
-                     "eval": (pipeline["test_candidates"], _loads_report)}[command]
-    original = source.read_bytes()
+def _loads_model(target):
+    model = load_ova_model(target / "ova_model.txt")
+    assert model.n == len(FeatureSpace.load(target / "feature_space.txt"))
+
+
+@pytest.mark.parametrize("case", ["prepare", "predict", "eval", "space", "train"])
+def test_mutated_input_fails_clean(corpus, pipeline, monkeypatch, tmp_path, capsys, case):
+    """Seeded mutations of the column file (prepare), the model file (predict), the
+    candidates file (eval --pr-curves), the space file (predict) and the training
+    candidates (train, one epoch): each run exits 0, 1 or 2 and raises nothing; a failing
+    run prints one error line and writes nothing, and what a passing run writes loads."""
+    usable_cpus(monkeypatch, 1)  # train starts no worker process per mutation
     mutant, work = tmp_path / "input", tmp_path / "work"
     work.mkdir()
-    target = work / ("predictions.tsv" if command == "predict" else "out")
-    argv = {
-        "prepare": ["prepare", "--train", str(mutant), "--out", str(target)],
-        "predict": _scoring_argv("predict", mutant, pipeline["space"],
-                                 pipeline["test_candidates"], target),
-        "eval": _scoring_argv("eval", pipeline["model"], pipeline["space"], mutant, target),
-    }[command]
+    target = work / ("predictions.tsv" if case in ("predict", "space") else "out")
+    model, space, candidates = pipeline["model"], pipeline["space"], pipeline["test_candidates"]
+    source, argv, loads = {
+        "prepare": (corpus[0], ["prepare", "--train", str(mutant), "--out", str(target)],
+                    _loads_prepared),
+        "predict": (model, _scoring_argv("predict", mutant, space, candidates, target),
+                    _loads_predictions),
+        "eval": (candidates, _scoring_argv("eval", model, space, mutant, target),
+                 _loads_report),
+        "space": (space, _scoring_argv("predict", model, mutant, candidates, target),
+                  _loads_predictions),
+        "train": (candidates, ["train", "--candidates", str(mutant), "--epochs", "1",
+                               "--out", str(target)], _loads_model),
+    }[case]
+    original = source.read_bytes()
     codes = []
     for copy in range(300):
-        mutant.write_bytes(_mutated(original, random.Random(f"{command} {copy}")))
+        mutant.write_bytes(_mutated(original, random.Random(f"{case} {copy}")))
         codes.append(main(argv))
         stdout, err = capsys.readouterr()
         assert codes[-1] in (0, 1, 2)

@@ -1,6 +1,9 @@
+import base64
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fmnec import (
@@ -11,10 +14,10 @@ from fmnec import (
     load_fm_model,
     save_fm_model,
 )
-from fmnec.fm import _Batch, read_fm_model
+from fmnec.fm import _Batch
 from fmnec.util import LineCursor
 
-from helpers import random_instance, random_model
+from helpers import b64_line, random_instance, random_model
 
 
 class TestSparseVector:
@@ -234,6 +237,9 @@ class TestInteractionWeight:
             m.interaction_weight(0, 1)
 
 
+ZERO = b64_line(0.0)
+
+
 class TestModelFile:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -244,20 +250,19 @@ class TestModelFile:
         assert loaded == m
 
     def test_layout(self, tmp_path):
-        m = FMModel(0.5, [1.0, -1.0], [[2.0], [3.0]])
+        m = FMModel(0.5, [1.0, -1.0], [[2.0, 3.0], [4.0, 5.0]])
         path = tmp_path / "model.txt"
         save_fm_model(m, path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "FMMODEL v1"
-        assert lines[1] == "2 1"
-        assert lines[2] == "0.5"
-        assert lines[3] == "1 -1"
-        assert lines[4:] == ["2", "3"]
+        assert lines == ["FMMODEL v2", "2 2", b64_line(0.5), b64_line(1.0, -1.0),
+                         b64_line(2.0, 3.0, 4.0, 5.0)]  # V row-major
+        assert lines[2] == "AAAAAAAA4D8="  # 0.5 is 00 00 00 00 00 00 e0 3f, little-endian
 
     def test_k0_round_trip(self, tmp_path):
         m = FMModel(-0.25, [0.5, 0.75], np.zeros((2, 0)))
         path = tmp_path / "model.txt"
         save_fm_model(m, path)
+        assert path.read_text().splitlines()[4] == ""  # an empty array is an empty line
         loaded = load_fm_model(path)
         assert loaded == m
         assert loaded.k == 0
@@ -275,19 +280,17 @@ class TestModelFile:
     @pytest.mark.parametrize(
         "content",
         [
-            "WRONG v1\n1 1\n0\n0\n0\n",
-            "FMMODEL v1\n1\n0\n0\n0\n",        # bad dimension line
-            "FMMODEL v1\n1 1\n0\n0\n",          # truncated V
-            "FMMODEL v1\n1 1\nzero\n0\n0\n",    # non-numeric
-            "FMMODEL v1\n1 1\n0\n0 0\n0\n",     # wrong w arity
-            "FMMODEL v1\n0 99999999999999999999\n0\n\n",  # k too large for any array
-            "FMMODEL v1\n-1 1\n0\n0\n0\n",   # negative n
-            "FMMODEL v1\n1 -1\n0\n0\n0\n",   # negative k
+            f"WRONG v2\n1 1\n{ZERO}\n{ZERO}\n{ZERO}\n",
+            f"FMMODEL v1\n1 1\n0\n0\n0\n",  # the decimal format this one replaced
+            f"FMMODEL v2\n1\n{ZERO}\n{ZERO}\n{ZERO}\n",  # bad dimension line
+            f"FMMODEL v2\n1 1\n{ZERO}\n{ZERO}\n",  # no V line
+            f"FMMODEL v2\n0 99999999999999999999\n{ZERO}\n\n\n",  # k too large for any array
+            f"FMMODEL v2\n-1 1\n{ZERO}\n{ZERO}\n{ZERO}\n",  # negative n
+            f"FMMODEL v2\n1 -1\n{ZERO}\n{ZERO}\n{ZERO}\n",  # negative k
         ],
+        ids=["header", "v1", "dimensions", "no-V-line", "huge-k", "negative-n", "negative-k"],
     )
     def test_rejects_malformed(self, tmp_path, content):
-        from fmnec import DataFormatError
-
         path = tmp_path / "model.txt"
         path.write_text(content)
         with pytest.raises(DataFormatError):
@@ -297,7 +300,7 @@ class TestModelFile:
     def test_names_negative_dimensions(self, tmp_path, dims):
         # the list above checks only the type, which a later check would raise too
         path = tmp_path / "model.txt"
-        path.write_text(f"FMMODEL v1\n{dims}\n0\n0\n0\n")
+        path.write_text(f"FMMODEL v2\n{dims}\n{ZERO}\n{ZERO}\n{ZERO}\n")
         with pytest.raises(DataFormatError) as err:
             load_fm_model(path)
         assert str(err.value) == f"{path}:2: model dimensions must be non-negative"
@@ -307,146 +310,129 @@ class TestModelFile:
         path = tmp_path / "model.txt"
         save_fm_model(m, path)
         path.write_text(path.read_text() + "extra\n")
-        from fmnec import DataFormatError
-
         with pytest.raises(DataFormatError):
             load_fm_model(path)
 
-
-# pieces of model-file values: what float() and NumPy's text parser both accept,
-# what only float() accepts (1_0, Arabic-Indic and full-width digits), what
-# neither does (#, ","), and separators str.split() knows (\x1c, \u3000, \x85)
-VALUE_PIECES = [*"0123456789+-.eE_", "inf", "nan", "\u0661", "\uff11", "\x1c", "\u3000",
-                "\x85", "#", ",", " ", "\t"]
+# -0.0, the smallest subnormal, the largest subnormal, and the largest finite float
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+               -1.7976931348623157e308]
 
 
-def expected_w(line, n):
-    """What loading a k = 0 model whose w line is ``line`` gives: float()'s
-    values, or the message of the line-by-line reader."""
-    parts = line.split()
-    if len(parts) != n:
-        return f"m.txt:4: expected {n} values for linear weights, got {len(parts)}"
-    try:
-        values = [float(part) for part in parts]
-    except ValueError:
-        return "m.txt:4: non-numeric value in linear weights"
-    if not all(np.isfinite(values)):
-        return f"m.txt:{4 + n}: model parameters must be finite"
-    return values
+@st.composite
+def finite_models(draw):
+    n, k = draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    value = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    values = draw(st.lists(value, min_size=1 + n + n * k, max_size=1 + n + n * k))
+    return FMModel(values[0], values[1:1 + n], np.reshape(values[1 + n:], (n, k)))
+
+
+def int_bits(model):
+    """w0, w and V as the int64 views of their float64 bits: -0.0 differs from 0.0."""
+    return [np.array(a, np.float64).view(np.int64).tolist() for a in ([model.w0], model.w, model.V)]
 
 
 def load_text(tmp_path, text):
-    """The loaded (w, V) of a model file, or its DataFormatError message."""
+    """The loaded model of a model file, or its DataFormatError message."""
     path = tmp_path / "m.txt"
     path.write_text(text, encoding="utf-8")
     try:
-        model = load_fm_model(path)
+        return load_fm_model(path)
     except DataFormatError as exc:
         return str(exc).replace(str(tmp_path) + "/", "")
-    return model.w, model.V
+
+
+def model_text(*lines):
+    return "".join(line + "\n" for line in ("FMMODEL v2", *lines))
+
+
+# each file holds one fault; n = 2 and k = 1, so w0 is on line 3, w on 4 and V on 5
+FAULTS = {
+    "outside-alphabet": (["2 1", ZERO, "AAAAAAAA8D8AAAAA*AAAQA==", ZERO + ZERO],
+                         "m.txt:4: invalid base64 in linear weights"),
+    "non-ascii": (["2 1", ZERO, "AAAAAAAA8D8AAAAA\u0661AAAQA==", ZERO + ZERO],
+                  "m.txt:4: invalid base64 in linear weights"),
+    "space-inside": (["2 1", ZERO, "AAAAAAAA8D8A AAAAAAAAQA==", ZERO + ZERO],
+                     "m.txt:4: invalid base64 in linear weights"),
+    "bad-padding": (["2 1", ZERO, b64_line(1.0, 2.0).rstrip("="), b64_line(0.0, 0.0)],
+                    "m.txt:4: invalid base64 in linear weights"),
+    "one-value-short": (["2 1", ZERO, b64_line(1.0), b64_line(0.0, 0.0)],
+                        "m.txt:4: expected 2 values for linear weights, got 1"),
+    "one-value-over": (["2 1", ZERO, b64_line(1.0, 2.0, 3.0), b64_line(0.0, 0.0)],
+                       "m.txt:4: expected 2 values for linear weights, got 3"),
+    "part-of-a-value": (["2 1", ZERO, base64.b64encode(bytes(9)).decode(), b64_line(0.0, 0.0)],
+                        "m.txt:4: expected 2 values for linear weights, got 9 bytes"),
+    "two-biases": (["2 1", b64_line(0.0, 0.0), b64_line(1.0, 2.0), b64_line(0.0, 0.0)],
+                   "m.txt:3: expected 1 values for bias, got 2"),
+    # a value that is not finite is named at the block's last line, where FMModel checks it
+    "nan": (["2 1", ZERO, b64_line(1.0, 2.0), b64_line(0.0, np.nan)],
+            "m.txt:5: model parameters must be finite"),
+    "inf": (["2 1", b64_line(-np.inf), b64_line(1.0, 2.0), b64_line(0.0, 0.0)],
+            "m.txt:5: model parameters must be finite"),
+    "short-V-block": (["2 1", ZERO, b64_line(1.0, 2.0), ZERO],
+                      "m.txt:5: expected 2 values for factor matrix, got 1"),
+    "bad-V-value": (["2 1", ZERO, b64_line(1.0, 2.0), "AAAA!AAA"],
+                    "m.txt:5: invalid base64 in factor matrix"),
+    "no-V-rows": (["2 1", ZERO, b64_line(1.0, 2.0)],
+                  "m.txt:4: unexpected end of file while reading factor matrix"),
+    # the last line of the model is named, not the trailing one
+    "trailing-line": (["2 1", ZERO, b64_line(1.0, 2.0), b64_line(0.0, 0.0), "extra"],
+                      "m.txt:5: trailing content after model block"),
+    "trailing-blank-line": (["2 1", ZERO, b64_line(1.0, 2.0), b64_line(0.0, 0.0), ""],
+                            "m.txt:5: trailing content after model block"),
+}
 
 
 class TestModelValues:
-    """The block reader parses whole blocks at once; it must give float()'s
-    bits on every file that loads and the line-by-line message on every other."""
+    """Each array is one line of base64 of its float64 bytes: any finite values come back
+    bit for bit, and a line that does not decode to its array's length is named."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.sampled_from(VALUE_PIECES), max_size=14).map("".join),
-           st.one_of(st.none(), st.integers(0, 3)))
-    def test_w_line_loads_as_float_does(self, tmp_path_factory, line, n):
-        n = len(line.split()) if n is None else n
-        text = f"FMMODEL v1\n{n} 0\n0.5\n{line}\n" + "\n" * n
-        got = load_text(tmp_path_factory.mktemp("m"), text)
-        expected = expected_w(line, n)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert np.array(expected).tobytes() == got[0].tobytes()
-            assert got[1].shape == (n, 0)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @example(FMModel(-0.0, [], np.zeros((0, 3))))
+    @example(FMModel(5e-324, [1.7976931348623157e308, -0.0], np.zeros((2, 0))))
+    @given(finite_models())
+    def test_finite_values_round_trip_bit_for_bit(self, tmp_path_factory, model):
+        path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+        save_fm_model(model, path)
+        loaded = load_fm_model(path)
+        assert (loaded.n, loaded.k) == (model.n, model.k)
+        assert int_bits(loaded) == int_bits(model)
 
-    @pytest.mark.parametrize("line, expected", [
-        ("1_0 2", [10.0, 2.0]),             # float() accepts it, NumPy's parser does not
-        ("\u0661 \uff12", [1.0, 2.0]),      # non-ASCII digits, likewise
-        ("1\x852", [1.0, 2.0]),             # \x85 separates values, as in str.split()
-        ("1 2#3", "m.txt:4: non-numeric value in linear weights"),  # "#" is no comment
-        ("1,2 3", "m.txt:4: non-numeric value in linear weights"),
-        (" \u3000", "m.txt:4: expected 2 values for linear weights, got 0"),
-    ])
-    def test_w_line_cases(self, tmp_path, line, expected):
-        got = load_text(tmp_path, f"FMMODEL v1\n2 0\n0.5\n{line}\n\n\n")
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert got[0].tolist() == expected
+    @pytest.mark.parametrize("lines, expected", FAULTS.values(), ids=FAULTS.keys())
+    def test_fault_names_its_line(self, tmp_path, lines, expected):
+        assert load_text(tmp_path, model_text(*lines)) == expected
 
-    @pytest.mark.parametrize("rows, expected", [
-        (["1 2", "", "3 4"], "m.txt:6: expected 2 values for factor row 1, got 0"),
-        (["", "1 2", "3 4"], "m.txt:5: expected 2 values for factor row 0, got 0"),
-        (["1 2", " \t", "3 4"], "m.txt:6: expected 2 values for factor row 1, got 0"),
-        (["1 2", "3 4", "\x85"], "m.txt:7: expected 2 values for factor row 2, got 0"),
-        (["1 2", "3", "4 5"], "m.txt:6: expected 2 values for factor row 1, got 1"),
-        (["1 2", "3 x", "4 5"], "m.txt:6: non-numeric value in factor row 1"),
-        (["1 2", "3 1_0", "4 \u0661"], [[1.0, 2.0], [3.0, 10.0], [4.0, 1.0]]),
-        (["", "", ""], "m.txt:5: expected 2 values for factor row 0, got 0"),
-        (["1 2 3 4 5 6", "", ""], "m.txt:5: expected 2 values for factor row 0, got 6"),
-        (["1 2", "3 4"], "m.txt:6: unexpected end of file while reading factor row 2"),
-    ])
-    def test_factor_block_cases(self, tmp_path, rows, expected):
-        text = "FMMODEL v1\n3 2\n0\n1 2 3\n" + "".join(row + "\n" for row in rows)
-        got = load_text(tmp_path, text)
-        if isinstance(expected, str):
-            assert got == expected
-        else:
-            assert got[1].tolist() == expected
+    def test_huge_dimensions_allocate_nothing(self, tmp_path):
+        # the line's length is checked against n k, a Python int, before any array exists
+        text = model_text(f"{10**12} {10**6}", ZERO, b64_line(1.0, 2.0), ZERO)
+        tracemalloc.start()
+        try:
+            got = load_text(tmp_path, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == f"m.txt:4: expected {10**12} values for linear weights, got 2"
+        assert peak < 1 << 20
+        got = load_text(tmp_path, model_text(f"2 {10**15}", ZERO, b64_line(1.0, 2.0), ZERO))
+        assert got == f"m.txt:5: expected {2 * 10**15} values for factor matrix, got 1"
 
-    def test_empty_blocks(self, tmp_path):
-        w, V = load_text(tmp_path, "FMMODEL v1\n0 3\n0.5\n\n")
-        assert w.shape == (0,) and V.shape == (0, 3)
-        w, V = load_text(tmp_path, "FMMODEL v1\n2 0\n0.5\n1 2\n\n \t\n")
-        assert w.tolist() == [1.0, 2.0] and V.shape == (2, 0)
-
-    def test_k0_factor_line_must_be_blank(self, tmp_path):
-        got = load_text(tmp_path, "FMMODEL v1\n2 0\n0.5\n1 2\n\n5\n")
-        assert got == "m.txt:6: expected 0 values for factor row 1, got 1"
-
-    def test_carriage_return_inside_a_line(self):
-        # a file read in text mode never holds one, but a LineCursor may
-        lines = ["FMMODEL v1\n", "2 1\n", "0\n", "1\r2\n", "3\n", "4\n"]
-        model = read_fm_model(LineCursor(lines))
-        assert model.w.tolist() == [1.0, 2.0] and model.V.tolist() == [[3.0], [4.0]]
-
-    def test_written_values_are_g17(self, tmp_path):
-        rng = np.random.default_rng(11)
-        m = FMModel(0.1, rng.normal(size=4) * 1e-300, rng.normal(size=(4, 3)) * 1e300)
-        path = tmp_path / "m.txt"
-        save_fm_model(m, path)
-        lines = path.read_text().splitlines()
-        assert lines[3] == " ".join(f"{v:.17g}" for v in m.w.tolist())
-        assert lines[4:] == [" ".join(f"{v:.17g}" for v in row) for row in m.V.tolist()]
+    def test_empty_arrays(self, tmp_path):
+        model = load_text(tmp_path, model_text("0 3", b64_line(0.5), "", ""))
+        assert model.w.shape == (0,) and model.V.shape == (0, 3)
+        model = load_text(tmp_path, model_text("2 0", b64_line(0.5), b64_line(1.0, 2.0), ""))
+        assert model.w.tolist() == [1.0, 2.0] and model.V.shape == (2, 0)
 
 
 class TestStreamedLoad:
     """A load parses the file as it reads it; messages and line numbers are
     those of a reader that took every line first."""
 
-    @pytest.mark.parametrize("text, expected", [
-        ("FMMODEL v1\n2 1\n0\n0 0\n0\n", "m.txt:5: unexpected end of file while reading factor row 1"),
-        ("FMMODEL v1\n2 1\n0\n0 0\n", "m.txt:4: unexpected end of file while reading factor row 0"),
-        ("FMMODEL v1\n3 2\n0\n0 0 0\n1 2\n3 x\n", "m.txt:6: non-numeric value in factor row 1"),
-        # the last line of the model is named, not the trailing one
-        ("FMMODEL v1\n1 1\n0\n0\n0\nextra\n", "m.txt:5: trailing content after model block"),
-        ("FMMODEL v1\n1 1\n0\n0\n0\n\n", "m.txt:5: trailing content after model block"),
-    ], ids=["short-V-block", "no-V-rows", "bad-V-value", "trailing-line", "trailing-blank-line"])
-    def test_truncated_block_and_trailing_content(self, tmp_path, text, expected):
-        assert load_text(tmp_path, text) == expected
-
     @pytest.mark.parametrize("body, line", [
         # a bad bias on line 3, then an undecodable byte thousands of lines on:
         # far past the first chunk the text layer decodes
-        ("FMMODEL v1\n3000 1\nzero\n" + " ".join(["0"] * 3000) + "\n" + "0\n" * 2000, 2005),
+        (model_text("3000 1", "zero", b64_line(*[0.0] * 3000)) + "A\n" * 2000, 2005),
         # a whole model, then trailing content before the undecodable byte
-        ("FMMODEL v1\n3000 1\n0\n" + " ".join(["0"] * 3000) + "\n" + "0\n" * 3000 + "x\n" * 3000,
-         6005),
+        (model_text("3000 1", ZERO, *[b64_line(*[0.0] * 3000)] * 2) + "x\n" * 3000, 3006),
     ], ids=["bad-bias", "trailing-content"])
     def test_invalid_utf8_later_in_the_file_wins(self, tmp_path, body, line):
         path = tmp_path / "m.txt"
@@ -457,7 +443,9 @@ class TestStreamedLoad:
 
     def test_cursor_takes_from_an_iterator(self):
         cursor = LineCursor(iter(["a\n", "b\n", "c\n"]), path="p", lineno=4)
-        assert cursor.take("x") == "a"
-        assert cursor.take_lines(5) == ["b\n", "c\n"]
+        assert [cursor.take("x") for _ in range(3)] == ["a", "b", "c"]
         assert cursor.at_end() and cursor.lineno == 7
+        with pytest.raises(DataFormatError) as err:
+            cursor.take("d")
+        assert str(err.value) == "p:7: unexpected end of file while reading d"
         assert str(cursor.error("m")) == "p:7: m"

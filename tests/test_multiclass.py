@@ -33,7 +33,9 @@ from fmnec import multiclass
 from fmnec.fm import _Batch
 from fmnec.util import derive_seed
 
-from helpers import assert_reaped, make_xor_tagged, random_model, usable_cpus
+from helpers import assert_reaped, b64_line, make_xor_tagged, random_model, usable_cpus
+
+ZERO = b64_line(0.0)
 
 
 def bias_model(w0, n=0, k=0):
@@ -237,25 +239,28 @@ class TestOvaFile:
         assert load_ova_model(path) == model
 
     def test_layout(self, tmp_path):
-        model = OvAModel(["A", "B"], [bias_model(0.0, n=1, k=1), bias_model(0.0, n=1, k=1)])
+        model = OvAModel(["A", "B"], [bias_model(0.0, n=1, k=1), bias_model(0.5, n=1, k=1)])
         path = tmp_path / "ova.txt"
         save_ova_model(model, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "FMOVA v1"
-        assert lines[1] == "2"
-        assert lines[2] == "A"
-        assert lines[3] == "FMMODEL v1"
+        zero = b64_line(0.0)
+        assert path.read_text().splitlines() == [
+            "FMOVA v2", "2",
+            "A", "FMMODEL v2", "1 1", zero, zero, zero,
+            "B", "FMMODEL v2", "1 1", b64_line(0.5), zero, zero,
+        ]
 
     @pytest.mark.parametrize(
         "content",
         [
-            "NOPE v1\n1\nA\nFMMODEL v1\n0 0\n0\n\n",
-            "FMOVA v1\nzero\n",
-            "FMOVA v1\n0\n",
-            "FMOVA v1\n2\nB\nFMMODEL v1\n0 0\n0\n\nA\nFMMODEL v1\n0 0\n0\n\n",  # unsorted
-            "FMOVA v1\n2\nA\nFMMODEL v1\n0 0\n0\n\n",  # missing second block
-            "FMOVA v1\n1\nA B\nFMMODEL v1\n0 0\n0\n\n",  # whitespace in a label
+            f"NOPE v2\n1\nA\nFMMODEL v2\n0 0\n{ZERO}\n\n\n",
+            "FMOVA v2\nzero\n",
+            "FMOVA v2\n0\n",
+            f"FMOVA v2\n2\nB\nFMMODEL v2\n0 0\n{ZERO}\n\n\nA\nFMMODEL v2\n0 0\n{ZERO}\n\n\n",
+            f"FMOVA v2\n2\nA\nFMMODEL v2\n0 0\n{ZERO}\n\n\n",
+            f"FMOVA v2\n1\nA B\nFMMODEL v2\n0 0\n{ZERO}\n\n\n",
         ],
+        ids=["header", "count", "no-labels", "unsorted", "missing-second-block",
+             "whitespace-in-label"],
     )
     def test_rejects_malformed(self, tmp_path, content):
         path = tmp_path / "ova.txt"
@@ -266,23 +271,25 @@ class TestOvaFile:
     @pytest.mark.parametrize(
         "line, text, message",
         [
-            (21, "0.5 zero", "non-numeric value in factor row 3"),
-            (21, "0.5 0.25 1", "expected 2 values for factor row 3, got 3"),
-            (17, "1 2 3 4 five", "non-numeric value in linear weights"),
-            (7, "1 2 0x10 4 5", "non-numeric value in linear weights"),
+            (14, "0.5 zero", "invalid base64 in factor matrix"),
+            (14, b64_line(*range(11)), "expected 10 values for factor matrix, got 11"),
+            (13, b64_line(*range(4)), "expected 5 values for linear weights, got 4"),
+            (6, b64_line(0.0, 0.0), "expected 1 values for bias, got 2"),
+            (1, "FMOVA v1", "expected 'FMOVA v2' header, got 'FMOVA v1'"),
             # None: the file ends before this line, so the last line read is named
-            (21, None, "end of file while reading factor row 3"),
+            (14, None, "end of file while reading factor matrix"),
         ],
+        ids=["bad-base64", "one-over", "one-short", "two-biases", "v1-header", "no-V-line"],
     )
     def test_bad_value_names_its_line(self, tmp_path, line, text, message):
-        # layout: 1 header, 2 count, 3 "A", 4-12 A's block (w on 7, V rows on
-        # 8-12), 13 "B", then B's block: w on 17, factor row i on 18 + i
+        # layout: 1 header, 2 count, 3 "A", 4-8 A's block (w0 on 6, w on 7, V on 8),
+        # 9 "B", then B's block: w0 on 12, w on 13, V on 14
         rng = np.random.default_rng(3)
         models = [FMModel(0.0, rng.normal(size=5), rng.normal(size=(5, 2))) for _ in "AB"]
         path = tmp_path / "ova.txt"
         save_ova_model(OvAModel(["A", "B"], models), path)
         lines = path.read_text().splitlines()
-        assert lines[12] == "B"
+        assert lines[8] == "B"
         if text is None:
             lines, line = lines[: line - 1], line - 1
         else:
@@ -292,9 +299,10 @@ class TestOvaFile:
             load_ova_model(path)
         assert err.value.line == line
 
-    def test_load_holds_about_one_block_of_text(self, tmp_path):
-        # the file is parsed as it is read: the peak is the arrays plus about
-        # one label's factor rows as text, not the six labels' whole file
+    def test_load_holds_about_one_array_line(self, tmp_path):
+        # the file is parsed as it is read: the peak is the arrays plus a few copies of
+        # one label's factor matrix line (the line, its stripped copy, its bytes), not
+        # the six labels' whole file
         rng = np.random.default_rng(5)
         n, k = 3000, 8
         models = [FMModel(rng.normal(), rng.normal(size=n), rng.normal(size=(n, k)))
@@ -302,7 +310,9 @@ class TestOvaFile:
         path = tmp_path / "ova.txt"
         save_ova_model(OvAModel([f"T{i}" for i in range(6)], models), path)
         with open(path, "rb") as fh:
-            block = sum(len(line) for line in fh.readlines()[6 : 6 + n])  # T0's factor rows
+            lines = fh.readlines()
+        line = len(lines[7])  # T0's factor matrix
+        assert sum(map(len, lines)) > 6 * line
         arrays = sum(m.w.nbytes + m.V.nbytes for m in models)
         tracemalloc.start()
         try:
@@ -311,7 +321,7 @@ class TestOvaFile:
         finally:
             tracemalloc.stop()
         assert loaded == OvAModel([f"T{i}" for i in range(6)], models)
-        assert peak < arrays + 2 * block
+        assert peak < arrays + 3 * line
 
 
 def tagged(label_count, n=12, size=40, seed=0):

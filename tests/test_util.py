@@ -126,9 +126,9 @@ HEADERS = [
     b"",
     b"-DOCSTART- -X- -X- O\n",
     b"PER\tJohn Smith\tsaid\tyesterday\n",
-    b"FMMODEL v1\n",
-    b"FMMODEL v1\n2 1\n0.5\n1 2\n",
-    b"FMOVA v1\n1\nPER\nFMMODEL v1\n",
+    b"FMMODEL v2\n",
+    b"FMMODEL v2\n2 1\nAAAAAAAA4D8=\nAAAAAAAA8D8AAAAAAAAAQA==\n",  # w0 0.5, w [1, 2]
+    b"FMOVA v2\n1\nPER\nFMMODEL v2\n",
 ]
 READERS = {
     "parse_column_file": parse_column_file,
