@@ -8,7 +8,7 @@ This script builds a tiny model by hand so every number is checkable by eye.
 
 import numpy as np
 
-from fmnec import FMModel, SparseVector, load_fm_model, save_fm_model
+from fmnec import FMModel, OvAModel, SparseVector, load_ova_model, save_ova_model
 
 # Two features, factor dimension 1: feature 0 owns row (2), feature 1 owns (3).
 model = FMModel(w0=0.5, w=[1.0, -1.0], V=[[2.0], [3.0]])
@@ -35,9 +35,11 @@ print("single feature :", model.predict_raw(solo))  # 0.5 - 2.0
 linear = FMModel(w0=0.0, w=[0.25, 0.75], V=np.zeros((2, 0)))
 print("k=0 score      :", linear.predict_raw(x))
 
-# Models round-trip through a plain text format losslessly.
-save_fm_model(model, "demo_model.txt")
-print("reloaded equals original:", load_fm_model("demo_model.txt") == model)
+# Models round-trip through a plain text format losslessly.  The one model file holds
+# a model per label, so a single model is saved as the one label of a one-vs-all model.
+save_ova_model(OvAModel(["ENT"], [model]), "demo_model.txt")
+[reloaded] = load_ova_model("demo_model.txt").models
+print("reloaded equals original:", reloaded == model)
 
 # Larger random models agree between the fast and the naive path too.
 rng = np.random.default_rng(0)

@@ -12,7 +12,7 @@ factorization-dimension sweeps).
 __version__ = "0.1.0"
 
 from .errors import ConfigError, DataFormatError, DimensionMismatchError
-from .fm import FMModel, SparseVector, load_fm_model, save_fm_model
+from .fm import FMModel, SparseVector
 from .train import TrainConfig, init_model, loss_value, sgd_step, train_binary
 from .multiclass import OvAModel, load_ova_model, save_ova_model, train_ova
 from .features import Candidate, FeatureSpace, extract_features
@@ -50,14 +50,12 @@ __all__ = [
     "format_report",
     "format_stats_table",
     "init_model",
-    "load_fm_model",
     "load_ova_model",
     "loss_value",
     "parse_column_file",
     "pr_curve",
     "read_candidates_tsv",
     "repair_bio",
-    "save_fm_model",
     "save_ova_model",
     "sgd_step",
     "sweep_k",

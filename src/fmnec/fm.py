@@ -10,24 +10,19 @@ evaluates the interaction term through the factored identity
 
     0.5 * sum_f [ (sum_i V[i,f] x[i])^2 - sum_i (V[i,f] x[i])^2 ]
 
-touching only nonzero entries, so the cost is O(nnz * k) instead of
-quadratic in nnz.  A ``_Batch`` holds many instances as CSR arrays (row
-bounds, every nonzero in one flat array) and one label per row: the one shape
-that SGD trains on and the identity scores, all rows at once, so ``predict_raw``
-and the one-vs-all scorer share one kernel.  ``predict_raw_naive`` is the
-literal pairwise double loop, kept as an independent cross-check oracle.
+touching only nonzero entries, so the cost is O(nnz * k) instead of quadratic in nnz.  A
+``_Batch`` holds many instances as CSR arrays (row bounds, every nonzero in one flat array)
+and one label per row: the one shape that SGD trains on and the identity scores, all rows at
+once, so ``predict_raw`` and the one-vs-all scorer share one kernel.  ``predict_raw_naive``
+is the literal pairwise double loop, kept as an independent cross-check oracle.  A model is
+saved and loaded as one label of a ``multiclass`` model file.
 """
 
 from __future__ import annotations
 
-import base64
-
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .util import LineCursor, atomic_write, open_text
-
-MODEL_FORMAT_HEADER = "FMMODEL v2"
 
 
 class SparseVector:
@@ -209,7 +204,7 @@ class _Batch:
             return np.bincount(rows, weights=weights, minlength=size)
 
         out = model.w0 + per_row(model.w[idx] if vals is None else model.w[idx] * vals)
-        if model.k:
+        if model.k and idx.size:  # with no entries every pair term is 0: k may be huge
             pairs = np.zeros(size)
             for f in range(model.k):
                 # a contiguous copy of the column gathers faster than V's strided one
@@ -218,70 +213,3 @@ class _Batch:
                 pairs += total * total - per_row(column * column)
             out += 0.5 * pairs
         return out
-
-
-def write_fm_model(fh, model: FMModel) -> None:
-    """Emit the FMMODEL v2 text block: header, "n k", then w0, w and V (row-major), each one
-    line of base64 of its little-endian float64 bytes."""
-    fh.write(f"{MODEL_FORMAT_HEADER}\n{model.n} {model.k}\n")
-    for array in (model.w0, model.w, model.V):  # no copy of the line just to end it
-        fh.write(base64.b64encode(np.ascontiguousarray(array, "<f8")).decode("ascii"))
-        fh.write("\n")
-
-
-def read_fm_model(cursor: LineCursor) -> FMModel:
-    """Parse one FMMODEL v2 block starting at the cursor position."""
-    header = cursor.take("model header")
-    if header != MODEL_FORMAT_HEADER:
-        raise cursor.error(f"expected {MODEL_FORMAT_HEADER!r} header, got {header!r}")
-    dims = cursor.take("model dimensions").split()
-    try:
-        n, k = (int(part) for part in dims)
-    except ValueError:
-        raise cursor.error("dimension line must hold two integers: n k") from None
-    if n < 0 or k < 0:
-        raise cursor.error("model dimensions must be non-negative")
-    w0 = _take_array(cursor, "bias", 1)[0]
-    w = _take_array(cursor, "linear weights", n)
-    V = _take_array(cursor, "factor matrix", n * k)
-    try:
-        return FMModel(w0, w, V.reshape(n, k))
-    except ValueError as exc:
-        raise cursor.error(str(exc)) from None
-
-
-def _take_array(cursor: LineCursor, what: str, count: int) -> np.ndarray:
-    """The next line as ``count`` float64 values; the length is checked before anything is
-    allocated beyond the line, so a bogus ``n k`` costs nothing."""
-    line = cursor.take(what)
-    try:
-        raw = base64.b64decode(line, validate=True)
-    except ValueError:  # binascii.Error, and a non-ASCII character
-        raise cursor.error(f"invalid base64 in {what}") from None
-    if len(raw) != 8 * count:
-        got = len(raw) // 8 if len(raw) % 8 == 0 else f"{len(raw)} bytes"
-        raise cursor.error(f"expected {count} values for {what}, got {got}")
-    return np.frombuffer(raw, "<f8")
-
-
-def save_fm_model(model: FMModel, path) -> None:
-    with atomic_write(path) as fh:
-        write_fm_model(fh, model)
-
-
-def load_fm_model(path) -> FMModel:
-    return _load_model_file(path, read_fm_model)
-
-
-def _load_model_file(path, read_block):
-    """The one block ``read_block`` parses from the file; nothing may follow it.
-
-    The file is parsed as it is read, so a load holds one array's line of text
-    at a time.
-    """
-    with open_text(path) as fh:
-        cursor = LineCursor(fh, path=str(path))
-        model = read_block(cursor)
-        if not cursor.at_end():
-            raise cursor.error("trailing content after model block")
-    return model

@@ -1,7 +1,13 @@
-"""One-vs-all multiclass wrapper around binary factorization machines."""
+"""One-vs-all multiclass wrapper around binary factorization machines, and its model file.
+
+A model file (``FMOVA v2``) is a header, the label count, then per label its tag name line
+and one ``FMMODEL v2`` block.  ``save_ova_model`` and ``load_ova_model`` are its one writer
+and reader; a single binary machine is saved as a one-label ``OvAModel``.
+"""
 
 from __future__ import annotations
 
+import base64
 import copy
 import heapq
 import os
@@ -13,11 +19,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, _Batch, _load_model_file, read_fm_model, write_fm_model
+from .fm import FMModel, _Batch
 from .train import TrainConfig, train_binary
-from .util import LineCursor, atomic_write, derive_seed, first_bad_token
+from .util import LineCursor, atomic_write, derive_seed, first_bad_token, open_text
 
 OVA_FORMAT_HEADER = "FMOVA v2"
+MODEL_FORMAT_HEADER = "FMMODEL v2"  # each label's block
 
 
 @dataclass(eq=False)
@@ -233,42 +240,81 @@ class _Worker:
             self.status = os.waitpid(self.pid, 0)[1]
 
 
-def write_ova_model(fh, model: OvAModel) -> None:
-    """Emit the FMOVA v2 block: header, label count, then per label the tag
-    name line followed by an embedded FMMODEL v2 block."""
-    fh.write(OVA_FORMAT_HEADER + "\n")
-    fh.write(f"{len(model.labels)}\n")
-    for label, member in zip(model.labels, model.models):
-        fh.write(label + "\n")
-        write_fm_model(fh, member)
-
-
-def read_ova_model(cursor: LineCursor) -> OvAModel:
-    header = cursor.take("multiclass model header")
-    if header != OVA_FORMAT_HEADER:
-        raise cursor.error(f"expected {OVA_FORMAT_HEADER!r} header, got {header!r}")
-    count_line = cursor.take("label count")
-    try:
-        count = int(count_line)
-    except ValueError:
-        raise cursor.error(f"label count must be an integer, got {count_line!r}") from None
-    if count < 1:
-        raise cursor.error("label count must be >= 1")
-    labels = []
-    models = []
-    for _ in range(count):
-        labels.append(cursor.take("label name"))
-        models.append(read_fm_model(cursor))
-    try:
-        return OvAModel(labels, models)
-    except ConfigError as exc:
-        raise cursor.error(str(exc)) from None
-
-
 def save_ova_model(model: OvAModel, path) -> None:
     with atomic_write(path) as fh:
-        write_ova_model(fh, model)
+        fh.write(f"{OVA_FORMAT_HEADER}\n{len(model.labels)}\n")
+        for label, member in zip(model.labels, model.models):
+            fh.write(label + "\n")
+            _write_block(fh, member)
 
 
 def load_ova_model(path) -> OvAModel:
-    return _load_model_file(path, read_ova_model)
+    """The model an FMOVA v2 file holds; nothing may follow its last block.  The file is
+    parsed as it is read, so a load holds one array's line of text at a time."""
+    with open_text(path) as fh:
+        cursor = LineCursor(fh, path=str(path))
+        header = cursor.take("multiclass model header")
+        if header != OVA_FORMAT_HEADER:
+            raise cursor.error(f"expected {OVA_FORMAT_HEADER!r} header, got {header!r}")
+        count_line = cursor.take("label count")
+        try:
+            count = int(count_line)
+        except ValueError:
+            raise cursor.error(f"label count must be an integer, got {count_line!r}") from None
+        if count < 1:
+            raise cursor.error("label count must be >= 1")
+        labels, models = [], []
+        for _ in range(count):
+            labels.append(cursor.take("label name"))
+            models.append(_read_block(cursor))
+        try:
+            model = OvAModel(labels, models)
+        except ConfigError as exc:
+            raise cursor.error(str(exc)) from None
+        if not cursor.at_end():
+            raise cursor.error("trailing content after model block")
+    return model
+
+
+def _write_block(fh, model: FMModel) -> None:
+    """Emit the FMMODEL v2 text block: header, "n k", then w0, w and V (row-major), each one
+    line of base64 of its little-endian float64 bytes."""
+    fh.write(f"{MODEL_FORMAT_HEADER}\n{model.n} {model.k}\n")
+    for array in (model.w0, model.w, model.V):  # no copy of the line just to end it
+        fh.write(base64.b64encode(np.ascontiguousarray(array, "<f8")).decode("ascii"))
+        fh.write("\n")
+
+
+def _read_block(cursor: LineCursor) -> FMModel:
+    """Parse one FMMODEL v2 block starting at the cursor position."""
+    header = cursor.take("model header")
+    if header != MODEL_FORMAT_HEADER:
+        raise cursor.error(f"expected {MODEL_FORMAT_HEADER!r} header, got {header!r}")
+    dims = cursor.take("model dimensions").split()
+    try:
+        n, k = (int(part) for part in dims)
+    except ValueError:
+        raise cursor.error("dimension line must hold two integers: n k") from None
+    if n < 0 or k < 0:
+        raise cursor.error("model dimensions must be non-negative")
+    w0 = _take_array(cursor, "bias", 1)[0]
+    w = _take_array(cursor, "linear weights", n)
+    V = _take_array(cursor, "factor matrix", n * k)
+    try:
+        return FMModel(w0, w, V.reshape(n, k))
+    except ValueError as exc:
+        raise cursor.error(str(exc)) from None
+
+
+def _take_array(cursor: LineCursor, what: str, count: int) -> np.ndarray:
+    """The next line as ``count`` float64 values; the length is checked before anything is
+    allocated beyond the line, so a bogus ``n k`` costs nothing."""
+    line = cursor.take(what)
+    try:
+        raw = base64.b64decode(line, validate=True)
+    except ValueError:  # binascii.Error, and a non-ASCII character
+        raise cursor.error(f"invalid base64 in {what}") from None
+    if len(raw) != 8 * count:
+        got = len(raw) // 8 if len(raw) % 8 == 0 else f"{len(raw)} bytes"
+        raise cursor.error(f"expected {count} values for {what}, got {got}")
+    return np.frombuffer(raw, "<f8")

@@ -70,7 +70,7 @@ def atomic_write(path):
 
 @contextmanager
 def open_text(path):
-    """Open a UTF-8 text file for reading.
+    """Open a UTF-8 text file for reading; a leading byte-order mark is dropped.
 
     A decode error anywhere in the file is the error raised: it becomes a
     ``DataFormatError`` naming the first line that is not valid UTF-8, and a
@@ -78,7 +78,7 @@ def open_text(path):
     whole file had been decoded first.  The file is scanned for that line only
     once reading has failed, so valid input costs nothing extra.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except (UnicodeDecodeError, DataFormatError) as exc:

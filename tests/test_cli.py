@@ -341,12 +341,12 @@ class TestExitCodes:
         assert not out.exists()
 
 
-def _run_cli(*argv):
+def _run_cli(*argv, timeout=None):
     """Run ``fmnec`` in a child process so that a crash shows as a traceback."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run([sys.executable, "-m", "fmnec.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestNonUtf8Input:
@@ -633,6 +633,19 @@ def test_v1_model_file_is_refused(pipeline, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {v1}:1: expected 'FMOVA v2' header, "
                                        "got 'FMOVA v1'\n")
     assert not out.exists()
+
+
+def test_huge_k_over_no_features_scores_at_once(tmp_path):
+    # with n = 0 no batch has an entry, so no factor column is gathered, however large k is;
+    # a loop over the k columns would run for hours, and the timeout fails the test
+    model, space, candidates = tmp_path / "m.txt", tmp_path / "space.txt", tmp_path / "c.tsv"
+    model.write_text(f"FMOVA v2\n1\nA\nFMMODEL v2\n0 {10**9}\n{b64_line(0.5)}\n\n\n")
+    space.write_text("")
+    candidates.write_text("A\tJohn\tsaid\tyesterday\n")
+    out = tmp_path / "out"
+    result = _run_cli(*_scoring_argv("predict", model, space, candidates, out), timeout=10)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert out.read_text() == "# pred\tgold\tA\nA\tA\t0.5\n"
 
 
 def test_cli_import_does_not_load_multiprocessing():

@@ -10,9 +10,10 @@ from fmnec import (
     DataFormatError,
     DimensionMismatchError,
     FMModel,
+    OvAModel,
     SparseVector,
-    load_fm_model,
-    save_fm_model,
+    load_ova_model,
+    save_ova_model,
 )
 from fmnec.fm import _Batch
 from fmnec.util import LineCursor
@@ -238,32 +239,25 @@ class TestInteractionWeight:
 
 
 ZERO = b64_line(0.0)
+ONE_LABEL = "FMOVA v2\n1\nA\n"  # a binary model is saved as the one label of a model file
+
+
+def save_one(model, path):
+    save_ova_model(OvAModel(["A"], [model]), path)
+
+
+def load_one(path):
+    [model] = load_ova_model(path).models
+    return model
 
 
 class TestModelFile:
-    def test_round_trip_is_exact(self, tmp_path):
-        rng = np.random.default_rng(7)
-        m = random_model(rng, 13, 4)
-        path = tmp_path / "model.txt"
-        save_fm_model(m, path)
-        loaded = load_fm_model(path)
-        assert loaded == m
-
-    def test_layout(self, tmp_path):
-        m = FMModel(0.5, [1.0, -1.0], [[2.0, 3.0], [4.0, 5.0]])
-        path = tmp_path / "model.txt"
-        save_fm_model(m, path)
-        lines = path.read_text().splitlines()
-        assert lines == ["FMMODEL v2", "2 2", b64_line(0.5), b64_line(1.0, -1.0),
-                         b64_line(2.0, 3.0, 4.0, 5.0)]  # V row-major
-        assert lines[2] == "AAAAAAAA4D8="  # 0.5 is 00 00 00 00 00 00 e0 3f, little-endian
-
     def test_k0_round_trip(self, tmp_path):
         m = FMModel(-0.25, [0.5, 0.75], np.zeros((2, 0)))
         path = tmp_path / "model.txt"
-        save_fm_model(m, path)
-        assert path.read_text().splitlines()[4] == ""  # an empty array is an empty line
-        loaded = load_fm_model(path)
+        save_one(m, path)
+        assert path.read_text().splitlines()[7] == ""  # an empty array is an empty line
+        loaded = load_one(path)
         assert loaded == m
         assert loaded.k == 0
 
@@ -271,8 +265,8 @@ class TestModelFile:
         rng = np.random.default_rng(8)
         m = random_model(rng, 20, 6)
         path = tmp_path / "model.txt"
-        save_fm_model(m, path)
-        loaded = load_fm_model(path)
+        save_one(m, path)
+        loaded = load_one(path)
         for _ in range(25):
             x = random_instance(rng, 20, 10)
             assert loaded.predict_raw(x) == m.predict_raw(x)
@@ -292,26 +286,26 @@ class TestModelFile:
     )
     def test_rejects_malformed(self, tmp_path, content):
         path = tmp_path / "model.txt"
-        path.write_text(content)
+        path.write_text(ONE_LABEL + content)
         with pytest.raises(DataFormatError):
-            load_fm_model(path)
+            load_one(path)
 
     @pytest.mark.parametrize("dims", ["-1 1", "1 -1"])
     def test_names_negative_dimensions(self, tmp_path, dims):
         # the list above checks only the type, which a later check would raise too
         path = tmp_path / "model.txt"
-        path.write_text(f"FMMODEL v2\n{dims}\n{ZERO}\n{ZERO}\n{ZERO}\n")
+        path.write_text(f"{ONE_LABEL}FMMODEL v2\n{dims}\n{ZERO}\n{ZERO}\n{ZERO}\n")
         with pytest.raises(DataFormatError) as err:
-            load_fm_model(path)
-        assert str(err.value) == f"{path}:2: model dimensions must be non-negative"
+            load_one(path)
+        assert str(err.value) == f"{path}:5: model dimensions must be non-negative"
 
     def test_rejects_trailing_content(self, tmp_path):
         m = FMModel(0.0, [0.0], [[0.0]])
         path = tmp_path / "model.txt"
-        save_fm_model(m, path)
+        save_one(m, path)
         path.write_text(path.read_text() + "extra\n")
         with pytest.raises(DataFormatError):
-            load_fm_model(path)
+            load_one(path)
 
 # -0.0, the smallest subnormal, the largest subnormal, and the largest finite float
 EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
@@ -337,49 +331,49 @@ def load_text(tmp_path, text):
     path = tmp_path / "m.txt"
     path.write_text(text, encoding="utf-8")
     try:
-        return load_fm_model(path)
+        return load_one(path)
     except DataFormatError as exc:
         return str(exc).replace(str(tmp_path) + "/", "")
 
 
 def model_text(*lines):
-    return "".join(line + "\n" for line in ("FMMODEL v2", *lines))
+    return ONE_LABEL + "".join(line + "\n" for line in ("FMMODEL v2", *lines))
 
 
-# each file holds one fault; n = 2 and k = 1, so w0 is on line 3, w on 4 and V on 5
+# each file holds one fault; n = 2 and k = 1, so w0 is on line 6, w on 7 and V on 8
 FAULTS = {
     "outside-alphabet": (["2 1", ZERO, "AAAAAAAA8D8AAAAA*AAAQA==", ZERO + ZERO],
-                         "m.txt:4: invalid base64 in linear weights"),
+                         "m.txt:7: invalid base64 in linear weights"),
     "non-ascii": (["2 1", ZERO, "AAAAAAAA8D8AAAAA\u0661AAAQA==", ZERO + ZERO],
-                  "m.txt:4: invalid base64 in linear weights"),
+                  "m.txt:7: invalid base64 in linear weights"),
     "space-inside": (["2 1", ZERO, "AAAAAAAA8D8A AAAAAAAAQA==", ZERO + ZERO],
-                     "m.txt:4: invalid base64 in linear weights"),
+                     "m.txt:7: invalid base64 in linear weights"),
     "bad-padding": (["2 1", ZERO, b64_line(1.0, 2.0).rstrip("="), b64_line(0.0, 0.0)],
-                    "m.txt:4: invalid base64 in linear weights"),
+                    "m.txt:7: invalid base64 in linear weights"),
     "one-value-short": (["2 1", ZERO, b64_line(1.0), b64_line(0.0, 0.0)],
-                        "m.txt:4: expected 2 values for linear weights, got 1"),
+                        "m.txt:7: expected 2 values for linear weights, got 1"),
     "one-value-over": (["2 1", ZERO, b64_line(1.0, 2.0, 3.0), b64_line(0.0, 0.0)],
-                       "m.txt:4: expected 2 values for linear weights, got 3"),
+                       "m.txt:7: expected 2 values for linear weights, got 3"),
     "part-of-a-value": (["2 1", ZERO, base64.b64encode(bytes(9)).decode(), b64_line(0.0, 0.0)],
-                        "m.txt:4: expected 2 values for linear weights, got 9 bytes"),
+                        "m.txt:7: expected 2 values for linear weights, got 9 bytes"),
     "two-biases": (["2 1", b64_line(0.0, 0.0), b64_line(1.0, 2.0), b64_line(0.0, 0.0)],
-                   "m.txt:3: expected 1 values for bias, got 2"),
+                   "m.txt:6: expected 1 values for bias, got 2"),
     # a value that is not finite is named at the block's last line, where FMModel checks it
     "nan": (["2 1", ZERO, b64_line(1.0, 2.0), b64_line(0.0, np.nan)],
-            "m.txt:5: model parameters must be finite"),
+            "m.txt:8: model parameters must be finite"),
     "inf": (["2 1", b64_line(-np.inf), b64_line(1.0, 2.0), b64_line(0.0, 0.0)],
-            "m.txt:5: model parameters must be finite"),
+            "m.txt:8: model parameters must be finite"),
     "short-V-block": (["2 1", ZERO, b64_line(1.0, 2.0), ZERO],
-                      "m.txt:5: expected 2 values for factor matrix, got 1"),
+                      "m.txt:8: expected 2 values for factor matrix, got 1"),
     "bad-V-value": (["2 1", ZERO, b64_line(1.0, 2.0), "AAAA!AAA"],
-                    "m.txt:5: invalid base64 in factor matrix"),
+                    "m.txt:8: invalid base64 in factor matrix"),
     "no-V-rows": (["2 1", ZERO, b64_line(1.0, 2.0)],
-                  "m.txt:4: unexpected end of file while reading factor matrix"),
+                  "m.txt:7: unexpected end of file while reading factor matrix"),
     # the last line of the model is named, not the trailing one
     "trailing-line": (["2 1", ZERO, b64_line(1.0, 2.0), b64_line(0.0, 0.0), "extra"],
-                      "m.txt:5: trailing content after model block"),
+                      "m.txt:8: trailing content after model block"),
     "trailing-blank-line": (["2 1", ZERO, b64_line(1.0, 2.0), b64_line(0.0, 0.0), ""],
-                            "m.txt:5: trailing content after model block"),
+                            "m.txt:8: trailing content after model block"),
 }
 
 
@@ -393,8 +387,8 @@ class TestModelValues:
     @given(finite_models())
     def test_finite_values_round_trip_bit_for_bit(self, tmp_path_factory, model):
         path = tmp_path_factory.getbasetemp() / "round_trip.txt"
-        save_fm_model(model, path)
-        loaded = load_fm_model(path)
+        save_one(model, path)
+        loaded = load_one(path)
         assert (loaded.n, loaded.k) == (model.n, model.k)
         assert int_bits(loaded) == int_bits(model)
 
@@ -411,10 +405,10 @@ class TestModelValues:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == f"m.txt:4: expected {10**12} values for linear weights, got 2"
+        assert got == f"m.txt:7: expected {10**12} values for linear weights, got 2"
         assert peak < 1 << 20
         got = load_text(tmp_path, model_text(f"2 {10**15}", ZERO, b64_line(1.0, 2.0), ZERO))
-        assert got == f"m.txt:5: expected {2 * 10**15} values for factor matrix, got 1"
+        assert got == f"m.txt:8: expected {2 * 10**15} values for factor matrix, got 1"
 
     def test_empty_arrays(self, tmp_path):
         model = load_text(tmp_path, model_text("0 3", b64_line(0.5), "", ""))
@@ -428,17 +422,17 @@ class TestStreamedLoad:
     those of a reader that took every line first."""
 
     @pytest.mark.parametrize("body, line", [
-        # a bad bias on line 3, then an undecodable byte thousands of lines on:
+        # a bad bias on line 6, then an undecodable byte thousands of lines on:
         # far past the first chunk the text layer decodes
-        (model_text("3000 1", "zero", b64_line(*[0.0] * 3000)) + "A\n" * 2000, 2005),
+        (model_text("3000 1", "zero", b64_line(*[0.0] * 3000)) + "A\n" * 2000, 2008),
         # a whole model, then trailing content before the undecodable byte
-        (model_text("3000 1", ZERO, *[b64_line(*[0.0] * 3000)] * 2) + "x\n" * 3000, 3006),
+        (model_text("3000 1", ZERO, *[b64_line(*[0.0] * 3000)] * 2) + "x\n" * 3000, 3009),
     ], ids=["bad-bias", "trailing-content"])
     def test_invalid_utf8_later_in_the_file_wins(self, tmp_path, body, line):
         path = tmp_path / "m.txt"
         path.write_bytes(body.encode("ascii") + b"\xff\n" + b"0\n" * 9)
         with pytest.raises(DataFormatError) as err:
-            load_fm_model(path)
+            load_one(path)
         assert str(err.value) == f"{path}:{line}: not valid UTF-8 text"
 
     def test_cursor_takes_from_an_iterator(self):

@@ -233,10 +233,13 @@ class TestPredictLabel:
 class TestOvaFile:
     def test_round_trip(self, tmp_path):
         data = make_xor_tagged(copies=8, seed=2)
-        model = train_ova(data, 2, cfg(k=2, epochs=5))
+        trained = train_ova(data, 2, cfg(k=2, epochs=5))
+        # a binary model is saved as a one-label model
+        binary = OvAModel(["A"], [random_model(np.random.default_rng(7), 13, 4)])
         path = tmp_path / "ova.txt"
-        save_ova_model(model, path)
-        assert load_ova_model(path) == model
+        for model in (trained, binary):
+            save_ova_model(model, path)
+            assert load_ova_model(path) == model
 
     def test_layout(self, tmp_path):
         model = OvAModel(["A", "B"], [bias_model(0.0, n=1, k=1), bias_model(0.5, n=1, k=1)])
@@ -248,6 +251,12 @@ class TestOvaFile:
             "A", "FMMODEL v2", "1 1", zero, zero, zero,
             "B", "FMMODEL v2", "1 1", b64_line(0.5), zero, zero,
         ]
+        save_ova_model(OvAModel(["A"], [FMModel(0.5, [1.0, -1.0], [[2.0, 3.0], [4.0, 5.0]])]),
+                       path)
+        lines = path.read_text().splitlines()
+        assert lines == ["FMOVA v2", "1", "A", "FMMODEL v2", "2 2", b64_line(0.5),
+                         b64_line(1.0, -1.0), b64_line(2.0, 3.0, 4.0, 5.0)]  # V row-major
+        assert lines[5] == "AAAAAAAA4D8="  # 0.5 is 00 00 00 00 00 00 e0 3f, little-endian
 
     @pytest.mark.parametrize(
         "content",

@@ -8,7 +8,6 @@ from fmnec import (
     ConfigError,
     DataFormatError,
     FeatureSpace,
-    load_fm_model,
     load_ova_model,
     parse_column_file,
     read_candidates_tsv,
@@ -126,15 +125,15 @@ HEADERS = [
     b"",
     b"-DOCSTART- -X- -X- O\n",
     b"PER\tJohn Smith\tsaid\tyesterday\n",
-    b"FMMODEL v2\n",
-    b"FMMODEL v2\n2 1\nAAAAAAAA4D8=\nAAAAAAAA8D8AAAAAAAAAQA==\n",  # w0 0.5, w [1, 2]
+    b"FMOVA v2\n1\nPER\n",
     b"FMOVA v2\n1\nPER\nFMMODEL v2\n",
+    # w0 0.5, w [1, 2]
+    b"FMOVA v2\n1\nPER\nFMMODEL v2\n2 1\nAAAAAAAA4D8=\nAAAAAAAA8D8AAAAAAAAAQA==\n",
 ]
 READERS = {
     "parse_column_file": parse_column_file,
     "read_candidates_tsv": read_candidates_tsv,
     "FeatureSpace.load": FeatureSpace.load,
-    "load_fm_model": load_fm_model,
     "load_ova_model": load_ova_model,
 }
 
@@ -155,3 +154,21 @@ def test_readers_raise_only_documented_errors(scratch_file, reader, data):
         READERS[reader](scratch_file)
     except (DataFormatError, ConfigError):
         pass
+
+
+# one valid file per reader, whose first token a byte-order mark would otherwise join
+MARKABLE = {
+    "parse_column_file": "-DOCSTART- -X- -X- O\n\nJohn NNP I-NP B-PER\nsaid VBD I-VP O\n",
+    "read_candidates_tsv": "PER\tJohn Smith\tsaid\tyesterday\nPER\tMary\t\tleft\n",
+    "FeatureSpace.load": "cap=0\nw=John\n",
+    "load_ova_model": "FMOVA v2\n1\nPER\nFMMODEL v2\n0 0\nAAAAAAAA4D8=\n\n\n",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(MARKABLE))
+def test_leading_byte_order_mark_is_ignored(tmp_path, reader):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(MARKABLE[reader], encoding="utf-8")
+    marked.write_text(MARKABLE[reader], encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert READERS[reader](marked) == READERS[reader](plain)
