@@ -8,6 +8,7 @@ artifacts at their target paths.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -18,12 +19,13 @@ import numpy as np
 from . import __version__
 from .corpus import (
     NEGATIVE_TAG,
+    candidate_rows,
+    candidates_of,
     corpus_stats,
     extract_candidates,
     filter_unknown,
     format_stats_table,
     parse_column_file,
-    read_candidates_tsv,
     write_candidates_tsv,
 )
 from .errors import ConfigError, DataFormatError
@@ -43,7 +45,7 @@ from .features import FeatureSpace
 from .fm import _Batch
 from .multiclass import load_ova_model, save_ova_model, train_ova
 from .train import LOSS_KINDS, TrainConfig
-from .util import G17, atomic_write, open_text
+from .util import G17, atomic_write
 
 log = logging.getLogger("fmnec")
 
@@ -104,16 +106,27 @@ def _check_out_dir(path):
         raise ConfigError(f"--out must name a directory, not a file: {path}")
 
 
-def _read_candidates(path, need_gold=False):
+def _rows(path, tags, need_gold=False):
+    """A candidates file's checked rows as they are read, each tag appended to ``tags``; after
+    the last, an empty file is refused, then with ``need_gold`` the first untagged row."""
     _require_files(path)
-    candidates = read_candidates_tsv(path)
-    if not candidates:
+    untagged = None  # the line of the first row with no tag
+    for row in candidate_rows(path):
+        if untagged is None and row[1] is None:
+            untagged = row[0]
+        tags.append(row[1])
+        yield row
+    if not tags:
         raise ConfigError(f"candidates file is empty: {path}")
-    if need_gold and any(c.gold_tag is None for c in candidates):
-        with open_text(path) as fh:  # the first untagged row: its tag field is empty
-            line = next(pos for pos, row in enumerate(fh, 1) if row.startswith("\t"))
-        raise DataFormatError("every candidate needs a gold tag here", path=str(path), line=line)
-    return candidates
+    if need_gold and untagged is not None:
+        raise DataFormatError("every candidate needs a gold tag here", path=str(path),
+                              line=untagged)
+
+
+def _batch(space, path, need_gold=False) -> _Batch:
+    """A candidates file's batch labeled with its gold tags, vectorized as the file is read."""
+    tags = []
+    return _Batch(*space.vectorize_batch(_rows(path, tags, need_gold)), labels=tags)
 
 
 def _scored(args, need_gold=False):
@@ -125,7 +138,7 @@ def _scored(args, need_gold=False):
     if model.n != len(space):
         raise ConfigError(f"model dimension {model.n} does not match "
                           f"feature space size {len(space)}")
-    batch = _vectorized(space, _read_candidates(args.candidates, need_gold))
+    batch = _batch(space, args.candidates, need_gold)
     with np.errstate(over="ignore", invalid="ignore"):  # huge parameters: refused just below
         scores = model.predict_scores(batch)
     if not np.isfinite(scores).all():
@@ -134,17 +147,12 @@ def _scored(args, need_gold=False):
     return model, batch.labels, scores
 
 
-def _vectorized(space, candidates) -> _Batch:
-    """The candidates' batch labeled with their gold tags: all a command keeps of them."""
-    return _Batch(*space.vectorize_batch(candidates), labels=[c.gold_tag for c in candidates])
-
-
 def _training_set(path):
-    """The feature space fitted on a gold candidates file and its tagged batch; the candidates
-    are freed on return."""
-    candidates = _read_candidates(path, need_gold=True)
-    space = FeatureSpace.fit(candidates)
-    return space, _vectorized(space, candidates)
+    """The feature space fitted on a gold candidates file and its tagged batch, in one read."""
+    tags = []
+    rows = list(_rows(path, tags, need_gold=True))
+    space = FeatureSpace.fit(rows)
+    return space, _Batch(*space.vectorize_batch(rows), labels=tags)
 
 
 def cmd_prepare(args):
@@ -177,8 +185,7 @@ def cmd_prepare(args):
 def cmd_stats(args):
     stats = {}
     for path in args.candidates:
-        candidates = _read_candidates(path, need_gold=True)
-        stats[os.path.basename(path)] = corpus_stats(candidates)
+        stats[os.path.basename(path)] = corpus_stats(candidates_of(_rows(path, [], need_gold=True)))
     print(format_stats_table(stats))
     return 0
 
@@ -206,12 +213,10 @@ def cmd_predict(args):
     model, gold, scores = _scored(args)
     preds = model.best_labels(scores)
     row = "%s\t%s" + ("\t" + G17) * len(model.labels) + "\n"
+    cells = [c for r in zip(preds, [tag or "" for tag in gold], *scores.T.tolist()) for c in r]
     with atomic_write(args.out) as fh:
         fh.write("# pred\tgold\t" + "\t".join(model.labels) + "\n")
-        fh.writelines(
-            row % (pred, tag or "", *values)
-            for pred, tag, values in zip(preds, gold, scores.tolist())
-        )
+        fh.write((row * len(preds)) % tuple(cells))
     return 0
 
 
@@ -264,7 +269,7 @@ def cmd_sweep_k(args):
     config = _train_config(args)
     sweep_configs(k_values, config)  # every config is checked before any input is read
     space, train = _training_set(args.train)
-    dev = _vectorized(space, _read_candidates(args.dev, need_gold=True))
+    dev = _batch(space, args.dev, need_gold=True)
     results = sweep_k(train, dev, len(space), k_values, config)
     with atomic_write(args.out) as fh:
         fh.write(format_sweep_tsv(results))
@@ -354,6 +359,7 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    gc.freeze()  # exit skips walking the import-time heap, and forked workers share it
     raise SystemExit(main())
 
 

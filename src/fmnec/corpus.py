@@ -179,34 +179,39 @@ def write_candidates_tsv(path, candidates) -> None:
             fh.write("\t".join(fields) + "\n")
 
 
+def candidate_rows(path):
+    """The rows of an interchange file, each checked as it is read: its line number, its tag
+    (None when empty), and its span, left and right context text.  Blank lines are skipped."""
+    with open_text(path) as fh:
+        for lineno, raw in enumerate(fh, 1):
+            parts = raw.rstrip("\n").split("\t")
+            if len(parts) != 4:
+                if parts == [""]:
+                    continue
+                raise DataFormatError(f"expected 4 tab-separated fields, got {len(parts)}",
+                                      path=str(path), line=lineno)
+            tag, span, left, right = parts
+            # split() tokens meet the token rule; the constructor words an empty span or bad tag
+            if not span.split() or tag and first_bad_token((tag,)) is not None:
+                try:
+                    Candidate(span.split(), (), (), tag or None)
+                except ValueError as exc:
+                    raise DataFormatError(str(exc), path=str(path), line=lineno) from None
+            yield lineno, tag or None, span, left, right
+
+
 def read_candidates_tsv(path) -> list[Candidate]:
     """Candidates of an interchange file; equal tokens and tags are one ``str`` each."""
-    out = []
+    return candidates_of(candidate_rows(path))
+
+
+def candidates_of(rows) -> list[Candidate]:
+    """The candidates of ``candidate_rows``' rows; equal tokens and tags are one ``str`` each."""
     shared = {}.setdefault
 
     def tokens_of(text):
         words = text.split()
         return tuple(map(shared, words, words))
-    with open_text(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataFormatError(
-                    f"expected 4 tab-separated fields, got {len(parts)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            tag, span, left, right = parts
-            tokens = tokens_of(span)
-            # split() tokens meet the token rule: only an empty span or a bad tag needs the check
-            trusted = tokens and (not tag or first_bad_token((tag,)) is None)
-            try:
-                build = Candidate._unchecked if trusted else Candidate
-                out.append(build(tokens, tokens_of(left), tokens_of(right),
-                                 shared(tag, tag) if tag else None))
-            except ValueError as exc:
-                raise DataFormatError(str(exc), path=str(path), line=lineno) from None
-    return out
+    return [Candidate._unchecked(tokens_of(span), tokens_of(left), tokens_of(right),
+                                 tag and shared(tag, tag))
+            for _, tag, span, left, right in rows]

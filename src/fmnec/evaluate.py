@@ -168,7 +168,8 @@ def format_confusion_tsv(report: EvalReport) -> str:
 
 def format_pr_curve_tsv(points) -> str:
     """Two-column numeric file (percent, 2 decimals), one ranking prefix per row."""
-    return "recall\tprecision\n" + "".join(f"{_pct(r)}\t{_pct(p)}\n" for p, r in points)
+    cells = tuple(100.0 * value for p, r in points for value in (r, p))  # _pct's "%.2f"
+    return "recall\tprecision\n" + ("%.2f\t%.2f\n" * len(points)) % cells
 
 
 def format_sweep_tsv(results) -> str:

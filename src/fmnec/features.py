@@ -17,14 +17,16 @@ Character classes are judged per character over all span tokens joined
 (without the joining spaces), so digits and punctuation break the
 ``all-low``/``all-cap1`` predicates while ``.`` is admitted by ``all-cap2``.
 
-``FeatureSpace.vectorize_batch`` maps candidates straight to CSR arrays, which
-every command scores and trains on; ``vectorize_candidate`` is its one-row case.
+``FeatureSpace.fit`` and ``vectorize_batch`` read ``Candidate``s or the rows of a candidates
+file; ``vectorize_batch`` maps them straight to CSR arrays, which every command scores and
+trains on, and ``vectorize_candidate`` is its one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -69,17 +71,20 @@ class Candidate:
 
 def extract_features(candidate: Candidate) -> set[str]:
     """Feature names for one candidate (a set, so order never matters)."""
-    feats = set(map(_ctx_name, _context(candidate)))
-    feats.update(_shape_names(_shape(candidate.span_tokens)))
-    return feats
+    span, context = _parts(candidate)
+    return {*map(_ctx_name, context), *_shape_names(_shape(span.split()))}
 
 
-def _context(candidate: Candidate) -> tuple[str, ...]:
-    """The candidate's context tokens, left then right: one bag of ``ctx=`` names."""
-    return candidate.left_context + candidate.right_context
+def _parts(row) -> tuple[str, tuple[str, ...] | list[str]]:
+    """The span text and the context tokens, left then right (one bag of ``ctx=`` names), of
+    a ``Candidate`` or of a ``corpus.candidate_rows`` row."""
+    if isinstance(row, Candidate):
+        return row.surface, row.left_context + row.right_context
+    return row[2], f"{row[3]} {row[4]}".split()
 
 
-_ctx_name = "ctx=".__add__  # the feature name of a context token
+_CTX = "ctx="
+_ctx_name = _CTX.__add__  # the feature name of a context token
 
 
 def _shape(span_tokens) -> tuple[bool, bool, bool, bool, int]:
@@ -106,7 +111,7 @@ def _shape_names(shape) -> tuple[str, ...]:
 class FeatureSpace:
     """Frozen bijection between feature names and dense column indices."""
 
-    _CHUNK = 256  # candidates per step of vectorize_batch: its temporaries stay small
+    _CHUNK = 256  # rows per step of vectorize_batch: its temporaries stay small
 
     def __init__(self, names):
         names = list(names)
@@ -115,26 +120,25 @@ class FeatureSpace:
             raise ValueError(_first_name_error(names)[1])
         self.name_to_index = index
         self.index_to_name = names
+        # context token -> its ctx= name's index: no name is built per occurrence
+        self._ctx_index = {n[len(_CTX):]: i for n, i in index.items() if n.startswith(_CTX)}
 
     @classmethod
-    def fit(cls, candidates) -> "FeatureSpace":
-        """Index the union of features over training candidates.
+    def fit(cls, rows) -> "FeatureSpace":
+        """Index the union of features over training rows (see ``_parts``).
 
         Indices are assigned in lexicographic name order, so fitting is
-        reproducible regardless of candidate order.
+        reproducible regardless of row order.
         """
-        tokens = set()
-        shapes = set()
-        for candidate in candidates:
-            tokens.update(_context(candidate))
-            shapes.add(_shape(candidate.span_tokens))
-        if not shapes:
+        tokens, spans = set(), set()
+        for span, context in map(_parts, rows):
+            tokens.update(context)
+            spans.add(span)
+        if not spans:
             raise ConfigError("cannot fit a feature space on zero candidates")
         # extract_features' names, collected as their parts
-        names = set(map(_ctx_name, tokens))
-        for shape in shapes:
-            names.update(_shape_names(shape))
-        return cls(sorted(names))
+        shapes = {_shape(span.split()) for span in spans}
+        return cls(sorted(set(map(_ctx_name, tokens)).union(*map(_shape_names, shapes))))
 
     def vectorize(self, names) -> SparseVector:
         """Binary vector over the known names; unknown names are silently dropped."""
@@ -147,20 +151,20 @@ class FeatureSpace:
         indices = self.vectorize_batch((candidate,))[1]
         return SparseVector(indices, np.ones(indices.size))
 
-    def vectorize_batch(self, candidates) -> tuple[np.ndarray, np.ndarray]:
-        """The vectors of a sequence of candidates as CSR arrays: each row's nonzero count,
-        then every row's sorted distinct indices, concatenated (every value is 1.0), looked
-        up ``_CHUNK`` rows at a time."""
-        get, m = self.name_to_index.get, len(self) + 1  # m - 1 stands for an unknown name
+    def vectorize_batch(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The vectors of an iterable of rows (see ``_parts``) as CSR arrays: each row's nonzero
+        count, then every row's sorted distinct indices, concatenated (every value is 1.0),
+        built ``_CHUNK`` rows at a time."""
+        get, m, rows = self.name_to_index.get, len(self) + 1, iter(rows)  # m - 1: unknown name
         shapes = {}  # _shape tuple -> its row in the table of its names' indices
+        shape_row = cache(lambda span: shapes.setdefault(_shape(span.split()), len(shapes)))
         counts, indices = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
-        for start in range(0, len(candidates), self._CHUNK):
-            chunk = candidates[start : start + self._CHUNK]
-            contexts = list(map(_context, chunk))
-            ids = [shapes.setdefault(_shape(c.span_tokens), len(shapes)) for c in chunk]
+        while chunk := list(islice(rows, self._CHUNK)):
+            spans, contexts = zip(*map(_parts, chunk))
+            ids = list(map(shape_row, spans))
             table = np.array([[get(name, m - 1) for name in _shape_names(shape)]
                               for shape in shapes])
-            found = np.fromiter(map(get, map(_ctx_name, chain.from_iterable(contexts)),
+            found = np.fromiter(map(self._ctx_index.get, chain.from_iterable(contexts),
                                     repeat(m - 1)), np.int64)
             # entry (row, index) as row * m + index: one sort orders each row, repeats adjacent
             offsets = np.arange(len(chunk)) * m

@@ -7,12 +7,19 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmnec
 from fmnec import (
+    Candidate,
+    ConfigError,
+    DataFormatError,
     FeatureSpace,
     FMModel,
     OvAModel,
@@ -23,6 +30,8 @@ from fmnec import (
     save_ova_model,
 )
 from fmnec.cli import main
+from fmnec.corpus import candidate_rows
+from fmnec.fm import _Batch
 
 from helpers import b64_line, usable_cpus, write_xor_corpus
 
@@ -888,3 +897,93 @@ def test_mutated_input_fails_clean(corpus, pipeline, monkeypatch, tmp_path, caps
             else:
                 target.unlink()
     assert 0 in codes and 2 in codes  # the mutations reach both outcomes
+
+
+# rows of a candidates file: mostly well-formed ones whose tokens and spans repeat, and any
+# four or other number of fields over an alphabet with whitespace, so rows fail in every way
+# the format has: wrong arity, an empty span, a bad tag, and blank lines in between
+row_tokens = st.text(alphabet="aZ.\u00df", min_size=1, max_size=3)
+good_rows = st.builds(lambda tag, *fields: "\t".join([tag, *map(" ".join, fields)]),
+                      st.sampled_from(["PER", "O", ""]), st.lists(row_tokens, min_size=1,
+                      max_size=3), st.lists(row_tokens, max_size=4), st.lists(row_tokens, max_size=4))
+any_rows = st.lists(st.text(alphabet="aZ. \x85\u3000", max_size=4), min_size=1,
+                    max_size=5).map("\t".join)
+ROW_SPACE = FeatureSpace.fit([Candidate(["Za"], ["a", "Z."], ["aa"]), Candidate(["a", "b"], ["\u00df"])])
+
+
+class TestRowPath:
+    """Commands read a candidates file's rows straight into the labeled batch; the rows give
+    what the file's Candidates give."""
+
+    @given(st.lists(st.one_of(good_rows, good_rows, good_rows, any_rows), max_size=12),
+           st.sampled_from([1, 2, 1024]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_give_the_candidates_batch(self, tmp_path_factory, lines, chunk):
+        path = tmp_path_factory.mktemp("rows") / "c.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(FeatureSpace, "_CHUNK", chunk):  # rows across steps too
+            try:
+                candidates = read_candidates_tsv(path)
+            except DataFormatError as exc:
+                with pytest.raises(DataFormatError) as err:
+                    cli._batch(ROW_SPACE, path)
+                assert str(err.value) == str(exc)  # the message and its path:line
+                return
+            if not candidates:
+                with pytest.raises(ConfigError, match="candidates file is empty"):
+                    cli._batch(ROW_SPACE, path)
+                return
+            batch = cli._batch(ROW_SPACE, path)
+            counts, indices = ROW_SPACE.vectorize_batch(candidates)
+        assert batch.labels == [c.gold_tag for c in candidates]
+        assert batch.bounds.tolist() == _Batch(counts, indices).bounds.tolist()
+        assert batch.indices.dtype == np.int64 and batch.indices.tolist() == indices.tolist()
+        assert FeatureSpace.fit(candidate_rows(path)) == FeatureSpace.fit(candidates)
+        if None in batch.labels:  # untagged: the first row whose tag field is empty
+            with pytest.raises(DataFormatError) as err:
+                cli._batch(ROW_SPACE, path, need_gold=True)
+            line = next(pos for pos, text in enumerate(lines, 1) if text.startswith("\t"))
+            assert str(err.value) == f"{path}:{line}: every candidate needs a gold tag here"
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval", "sweep-k"])
+    def test_commands_build_no_candidate(self, pipeline, monkeypatch, tmp_path, command):
+        def built(*args, **kwargs):
+            raise AssertionError("a Candidate was built")
+
+        monkeypatch.setattr(Candidate, "__init__", built)
+        monkeypatch.setattr(Candidate, "_unchecked", classmethod(built))
+        usable_cpus(monkeypatch, 1)
+        train = str(pipeline["prepared"] / "train.candidates.tsv")
+        argv = {
+            "train": ["train", "--candidates", train, "--epochs", "1", "--out", str(tmp_path)],
+            "sweep-k": ["sweep-k", "--train", train, "--dev", str(pipeline["test_candidates"]),
+                        "--k-values", "0,2", "--epochs", "1", "--out", str(tmp_path / "s.tsv")],
+        }.get(command) or _scoring_argv(command, pipeline["model"], pipeline["space"],
+                                         pipeline["test_candidates"], tmp_path / "out")
+        assert main(argv) == 0
+
+    def test_peak_is_the_arrays_and_one_step(self, tmp_path):
+        # rows are vectorized a step (_CHUNK rows) at a time: the peak is the batch's arrays
+        # (twice, as the steps' pieces are joined) and one step's temporaries, which a file
+        # of 1,024 rows, at least one step, bounds; not the whole file's temporaries
+        words = [f"w{i}" for i in range(400)]
+        rnd = random.Random(3)
+        rows = [f"{rnd.choice(['PER', 'LOC', 'O'])}\tXq{i} Co\t{' '.join(rnd.sample(words, 15))}"
+                f"\t{' '.join(rnd.sample(words, 15))}\n" for i in range(20_000)]
+        space = FeatureSpace.fit([Candidate(["Xq0", "Co"], words[:300])])
+
+        def peak(text):
+            path = tmp_path / "c.tsv"
+            path.write_text(text)
+            tracemalloc.start()
+            try:
+                batch = cli._batch(space, path)
+                return batch, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        step = peak("".join(rows[:1024]))[1]
+        batch, whole = peak("".join(rows))
+        arrays = batch.bounds.nbytes + batch.indices.nbytes
+        assert len(batch) == 20_000 and batch.indices.size > 20 * 20_000
+        assert whole < 2 * arrays + 2 * step

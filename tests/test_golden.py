@@ -11,11 +11,13 @@ import hashlib
 import json
 import logging
 import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fmnec
 from fmnec.cli import main
 
 from helpers import usable_cpus, write_tagged_corpus
@@ -96,3 +98,30 @@ def test_outputs_match_the_golden_digests(monkeypatch, capfd, tmp_path, cpus):
     actual = tmp_path / "golden.json"
     actual.write_text(json.dumps(digests, indent=1) + "\n")
     assert digests == json.loads(GOLDEN.read_text()), f"this run's digests are in {actual}"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_entry_point_reproduces_the_golden_digests(monkeypatch, capfd, tmp_path, hash_seed):
+    # python -m fmnec.cli runs run(), which freezes the heap before main; string hashing
+    # differs between the seeds, and neither may change a byte
+    usable_cpus(monkeypatch, 1)
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(GOLDEN.read_text())
+    next_id = write_tagged_corpus(tmp_path / "train.txt", 240, seed=1)  # run_commands' corpora
+    next_id = write_tagged_corpus(tmp_path / "dev.txt", 60, seed=2, start_id=next_id)
+    write_tagged_corpus(tmp_path / "test.txt", 60, seed=3, start_id=next_id)
+    for argv in COMMANDS[0], COMMANDS[2], COMMANDS[3]:  # prepare, then the two models scored
+        assert main(argv) == 0
+    capfd.readouterr()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed}
+    for index in 5, 6:  # predict, eval --pr-curves
+        done = subprocess.run([sys.executable, "-m", "fmnec.cli", *COMMANDS[index]], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert {"argv": " ".join(COMMANDS[index]), "exit": done.returncode,
+                "stdout": sha256(done.stdout.encode()),
+                "stderr": sha256(done.stderr.encode())} == golden["commands"][index]
+    written = {name: digest for name, digest in golden["files"].items()
+               if name == "predictions.tsv" or name.startswith("eval/")}
+    assert len(written) > 2
+    assert {name: sha256((tmp_path / name).read_bytes()) for name in written} == written
