@@ -14,7 +14,7 @@ import numpy as np
 
 from .corpus import NEGATIVE_TAG
 from .errors import ConfigError
-from .fm import _Batch
+from .fm import _Batch, _check_dimension
 from .multiclass import _train_configs
 from .util import format_table
 
@@ -110,14 +110,17 @@ def sweep_configs(k_values, config) -> list:
 
 def sweep_k(train, dev, n: int, k_values, config) -> list[tuple[int, float]]:
     """Dev micro-F1 per factorization dimension, in ``k_values`` order, other config fields
-    fixed; all (k, label) jobs train in one run, each k scored once trained and then freed.
-    ``train`` and ``dev`` are each a tagged ``_Batch`` or ``(SparseVector, tag)`` pairs."""
+    fixed; every k is one job whose labels train in lockstep (with fewer k values than usable
+    CPUs, one per group of its labels), all in one run, each k scored once trained and then
+    freed.  ``train`` and ``dev`` are each a tagged ``_Batch`` or
+    ``(SparseVector, tag)`` pairs; both are checked against ``n`` before any training."""
     configs = sweep_configs(k_values, config)
     dev = _Batch.of(dev, labeled=True)  # stacked once
     if not len(dev):
         raise ConfigError("nothing to evaluate")
     if None in dev.labels:
         raise ConfigError("every dev instance needs a gold tag")
+    _check_dimension(dev.top, n)
     with closing(_train_configs(train, n, configs)) as models:  # map holds none between k's
         f1 = dict(map(lambda m: (m.k, evaluate(dev.labels, m.predict_label(dev)).micro.f1),
                       models))

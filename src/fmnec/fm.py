@@ -13,9 +13,10 @@ evaluates the interaction term through the factored identity
 touching only nonzero entries, so the cost is O(nnz * k) instead of quadratic in nnz.  A
 ``_Batch`` holds many instances as CSR arrays (row bounds, every nonzero in one flat array)
 and one label per row: the one shape that SGD trains on and the identity scores, all rows at
-once, so ``predict_raw`` and the one-vs-all scorer share one kernel.  ``predict_raw_naive``
-is the literal pairwise double loop, kept as an independent cross-check oracle.  A model is
-saved and loaded as one label of a ``multiclass`` model file.
+once, so ``predict_raw`` and the one-vs-all scorer share one kernel.  SGD's pre-update score
+(``train._sgd``) takes the same sums in the same order, so it has the kernel's bits.
+``predict_raw_naive`` is the literal pairwise double loop, kept as an independent
+cross-check oracle.  A model is saved and loaded as one label of a ``multiclass`` model file.
 """
 
 from __future__ import annotations
@@ -101,6 +102,13 @@ class FMModel:
         self.w0 = w0
         self.w = w
         self.V = V
+
+    @classmethod
+    def _own(cls, w0, w, V) -> "FMModel":
+        """A model on the trainer's finite, C-ordered arrays as they are: no copy, no check."""
+        model = cls.__new__(cls)
+        model.w0, model.w, model.V = float(w0), w, V
+        return model
 
     @property
     def n(self) -> int:

@@ -1,5 +1,9 @@
 """One-vs-all multiclass wrapper around binary factorization machines, and its model file.
 
+The training job runner takes one job per config, whose labels train in lockstep in one
+process (``train._train_labels``), or, when there are fewer configs than usable CPUs, one per
+contiguous group of its labels; the jobs spread over forked workers, one per usable CPU.
+
 A model file (``FMOVA v2``) is a header, the label count, then per label its tag name line
 and one ``FMMODEL v2`` block.  ``save_ova_model`` and ``load_ova_model`` are its one writer
 and reader; a single binary machine is saved as a one-label ``OvAModel``.
@@ -8,19 +12,19 @@ and reader; a single binary machine is saved as a one-label ``OvAModel``.
 from __future__ import annotations
 
 import base64
-import copy
 import heapq
 import os
 import pickle
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .fm import FMModel, _Batch
-from .train import TrainConfig, train_binary
+from .fm import FMModel, _Batch, _check_dimension
+from .train import TrainConfig, _train_labels
 from .util import LineCursor, atomic_write, derive_seed, first_bad_token, open_text
 
 OVA_FORMAT_HEADER = "FMOVA v2"
@@ -90,21 +94,24 @@ def _check_labels(labels) -> None:
 def train_ova(data, n: int, config: TrainConfig, on_epoch=None) -> OvAModel:
     """Train one binary machine per distinct tag: that tag versus everything else.
 
-    Each label trains under a seed derived from (config.seed, label), so the
-    result is reproducible and independent of tag order in ``data``.  With W usable
-    CPUs, at most one per label, W processes pull the labels from one queue
-    (``_train_configs``).  ``on_epoch``, when given, receives (label, epoch index,
-    mean loss).  A diverging label raises ``ConfigError`` naming the label and the epoch.
+    Each label trains under a seed derived from (config.seed, label), so the result is
+    reproducible and independent of tag order in ``data``.  The labels train in lockstep,
+    each on its own visiting order (``train._train_labels``): all in this process on one
+    usable CPU, else in one contiguous group per CPU (``_train_configs``).  ``on_epoch``,
+    when given, receives (label, epoch index, mean loss).  A diverging label raises
+    ``ConfigError`` naming the label and the epoch.
     """
     [model] = _train_configs(data, n, [config], on_epoch)
     return model
 
 
 def _train_configs(data, n: int, configs, on_epoch=None):
-    """Yield each config's ``OvAModel`` once its labels are in.  Jobs are (config, label)
-    pairs, longest k first (stable), pulled from one queue by this process and W - 1 workers
-    forked once (W usable CPUs, at most one per job).  Results and ``on_epoch`` calls are taken
-    in job order, at most one unread per worker, up to the first failure, which then raises."""
+    """Yield each config's ``OvAModel`` once trained.  A job is a config and a contiguous
+    group of its labels, which train in lockstep: all of them, or with fewer configs than
+    usable CPUs, the share of one CPU.  Jobs go longest k first (stable), each config's groups
+    in label order, pulled from one queue by this process and W - 1 workers forked once (W
+    usable CPUs, at most one per job).  Results and ``on_epoch`` calls are taken in job order,
+    at most one unread per worker, up to the first failure, which then raises."""
     data = _Batch.of(data, labeled=True)
     if not len(data):
         raise ConfigError("training data is empty")
@@ -113,32 +120,42 @@ def _train_configs(data, n: int, configs, on_epoch=None):
         raise ConfigError("every training instance needs a tag")
     labels = sorted(tags)
     _check_labels(labels)
-    jobs = [(config, label) for config in sorted(configs, key=lambda c: -c.k) for label in labels]
-    W = _process_count(len(jobs))
+    _check_dimension(data.top, n)
+    label_of = {label: i for i, label in enumerate(labels)}
+    signs = np.full((len(labels), len(data)), -1, np.int8)  # label l's -1 and +1 per row
+    signs[[label_of[tag] for tag in data.labels], np.arange(len(data))] = 1
+    W = _process_count(len(configs) * len(labels))
+    groups = max(1, W // len(configs))  # a CPU no config would use takes some of its labels
+    cuts = [len(labels) * j // groups for j in range(groups + 1)]
+    jobs = [(config, start, stop) for config in sorted(configs, key=lambda c: -c.k)
+            for start, stop in zip(cuts, cuts[1:])]
+    W = min(W, len(jobs))
     queue, workers = _job_queue(len(jobs)) if W > 1 else None, []
     pulls = iter(range(len(jobs))) if queue is None else (
         int.from_bytes(record, "little") for record in iter(lambda: os.read(queue, 2), b""))
+    train = partial(_train_jobs, data, n, labels, signs, jobs)
     try:
         while queue is not None and len(workers) < W - 1:
-            workers.append(_Worker(data, n, jobs, pulls))
-        models = []
-        own = _train_jobs(data, n, jobs, pulls)[::-1]  # popped: a model the consumer drops is freed
+            workers.append(_Worker(train, pulls))
+        own = train(pulls)[::-1]  # popped: a model the consumer drops is freed
         merged = heapq.merge(*workers, key=lambda r: r[0])  # read for jobs not in own
-        for i, (_, label) in enumerate(jobs):
+        models = []
+        for i, (_, _, stop) in enumerate(jobs):
             mine = own and own[-1][0] == i
             index, calls, outcome = own.pop() if mine else next(merged, (None,) * 3)
             if index != i:  # a worker died: the results still to come show what was delivered
                 done = {index, *(result[0] for result in [*merged, *own])}
-                lost = dict.fromkeys(jobs[j][1] for j in range(i, len(jobs)) if j not in done)
+                lost = dict.fromkeys(str(jobs[j][0].k)
+                                     for j in range(i, len(jobs)) if j not in done)
                 code = next(os.waitstatus_to_exitcode(w.status) for w in workers if w.status)
                 raise ChildProcessError(f"a training worker exited with code {code} before sending "
-                                        f"its results, so labels {', '.join(lost)} have no model")
+                                        f"its results: no model for k={', '.join(lost)}")
             for args in calls if on_epoch is not None else ():
-                on_epoch(label, *args)
+                on_epoch(*args)
             if isinstance(outcome, Exception):
                 raise outcome
-            models.append(outcome)
-            if len(models) == len(labels):
+            models += outcome
+            if stop == len(labels):
                 yield OvAModel(labels, models)
                 models = []
         next(merged, None)  # every worker's stream ends: each is reaped, none is signalled
@@ -161,27 +178,35 @@ def _job_queue(count: int):
     os.close(read_end)
 
 
-def _train_jobs(data: _Batch, n: int, jobs, pulls) -> list:
-    """(index, ``on_epoch`` calls, outcome) of each job pulled, up to the first failure."""
+def _train_jobs(data: _Batch, n: int, labels, signs, jobs, pulls) -> list:
+    """(index, ``on_epoch`` calls, models or exception) of each job pulled, up to the first
+    failure.  The calls are (label, epoch, mean loss) in label order; a diverging label's
+    come last.  Any other exception comes after the epochs of every label of its job that
+    were reported before it, since they train side by side."""
     results = []
     for i in pulls:
-        config, label = jobs[i]
-        binary = copy.copy(data)  # the same arrays, shared by every job, under -1 and +1 labels
-        binary.labels = [1 if tag == label else -1 for tag in data.labels]
-        label_config = replace(config, seed=derive_seed(config.seed, "ova-label", label))
-        calls = []
+        config, start, stop = jobs[i]
+        group = labels[start:stop]
+        calls = [[] for _ in group]
+        seeds = [derive_seed(config.seed, "ova-label", label) for label in group]
         try:
-            results.append((i, calls, train_binary(binary, n, label_config,
-                                                    on_epoch=lambda *args: calls.append(args))))
+            models, failure = _train_labels(
+                data, n, config, seeds, signs[start:stop],
+                on_epoch=lambda l, *args: calls[l].append((group[l], *args)))
+            if failure is None:
+                results.append((i, sum(calls, []), models))
+                continue
+            l, exc = failure
+            calls, error = calls[:l + 1], ConfigError(f"label {group[l]}: {exc}")
         except Exception as exc:  # raised in job order, also from a worker
-            list(pulls)  # a failure empties the queue: no process starts another job
-            error = ConfigError(f"label {label}: {exc}") if isinstance(exc, ConfigError) else exc
-            try:  # one that pickle cannot send becomes one stated error at any process count
-                pickle.loads(pickle.dumps(error))
-            except Exception:  # unpickling runs the exception's own __init__: anything goes
-                error = RuntimeError(f"label {label}: training raised {type(error).__name__}, "
-                                     f"which cannot be sent between processes: {error}")
-            return results + [(i, calls, error)]
+            error = exc
+        list(pulls)  # a failure empties the queue: no process starts another job
+        try:  # one that pickle cannot send becomes one stated error at any process count
+            pickle.loads(pickle.dumps(error))
+        except Exception:  # unpickling runs the exception's own __init__: anything goes
+            error = RuntimeError(f"training with k={config.k} raised {type(error).__name__}, "
+                                 f"which cannot be sent between processes: {error}")
+        return results + [(i, sum(calls, []), error)]
     return results
 
 
@@ -195,10 +220,10 @@ def _process_count(job_count: int) -> int:
 
 
 class _Worker:
-    """A forked process that runs ``_train_jobs(data, n, jobs, pulls)`` and pickles the results
-    into a pipe.  Its exit ends them: its wait ``status``, once reaped, is 0 if all came through."""
+    """A forked process that runs ``train(pulls)`` and pickles the results into a pipe.  Its
+    exit ends them: its wait ``status``, once reaped, is 0 if all came through."""
 
-    def __init__(self, data: _Batch, n: int, jobs, pulls):
+    def __init__(self, train, pulls):
         self.status = None  # the wait status, once reaped
         read_end, write_end = os.pipe()
         # Python >= 3.12 warns that forking with threads alive may deadlock the child.
@@ -213,7 +238,7 @@ class _Worker:
             try:
                 os.close(read_end)
                 # every job trains before the first write: a full pipe must not stall training
-                results = _train_jobs(data, n, jobs, pulls)
+                results = train(pulls)
                 with open(write_end, "wb") as out:
                     for result in results:
                         pickle.dump(result, out)

@@ -590,38 +590,37 @@ def test_bad_out_is_config_error_before_any_work(pipeline, tmp_path, command):
 
 
 def test_dead_training_worker_is_one_line(pipeline, tmp_path):
-    # at 2 usable CPUs the caller and a forked worker each start one of the labels O and
-    # PER; the worker records its label and dies, so the error names that label
+    # at 2 usable CPUs the caller and a forked worker each start one of sweep-k's jobs, k=1
+    # and k=0; the worker records its k and dies, so the error names that k
     died = tmp_path / "died"
     script = (
         "import os, sys, time\n"
         "from fmnec import cli, multiclass\n"
-        "from fmnec.util import derive_seed\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "caller, real = os.getpid(), multiclass.train_binary\n"
-        "labels = {derive_seed(42, 'ova-label', tag): tag for tag in ('O', 'PER')}\n"
-        "def train_binary(data, n, config, on_epoch=None):\n"
+        "caller, real = os.getpid(), multiclass._train_labels\n"
+        "def train_labels(data, n, config, *args, **kwargs):\n"
         "    if os.getpid() != caller:\n"
-        f"        open({str(died)!r}, 'w').write(labels[config.seed])\n"
+        f"        open({str(died)!r}, 'w').write(str(config.k))\n"
         "        os._exit(3)\n"
         "    deadline = time.monotonic() + 10\n"
         f"    while not os.path.exists({str(died)!r}) and time.monotonic() < deadline:\n"
         "        time.sleep(0.005)\n"
-        "    return real(data, n, config, on_epoch=on_epoch)\n"
-        "multiclass.train_binary = train_binary\n"
+        "    return real(data, n, config, *args, **kwargs)\n"
+        "multiclass._train_labels = train_labels\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
-    out = tmp_path / "m"
+    out = tmp_path / "sweep.tsv"
     result = subprocess.run(
-        [sys.executable, "-c", script, "train", "--epochs", "1", "--out", str(out),
-         "--candidates", str(pipeline["prepared"] / "train.candidates.tsv")],
+        [sys.executable, "-c", script, "sweep-k", "--epochs", "1", "--k-values", "0,1",
+         "--train", str(pipeline["prepared"] / "train.candidates.tsv"),
+         "--dev", str(pipeline["test_candidates"]), "--out", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert [line for line in result.stderr.splitlines() if "mean loss" not in line] == [
-        "error: a training worker exited with code 3 before sending its results, "
-        f"so labels {died.read_text()} have no model"
+    assert result.stderr.splitlines() == [
+        "error: a training worker exited with code 3 before sending its results: "
+        f"no model for k={died.read_text()}"
     ]
     assert not out.exists()
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -6,7 +7,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fmnec import ConfigError, OvAModel, TrainConfig, evaluate, multiclass, pr_curve, sweep_k
+from fmnec import (
+    ConfigError,
+    DimensionMismatchError,
+    OvAModel,
+    SparseVector,
+    TrainConfig,
+    evaluate,
+    multiclass,
+    pr_curve,
+    sweep_k,
+)
 from fmnec.fm import _Batch
 from fmnec.evaluate import (
     format_confusion_tsv,
@@ -234,25 +245,35 @@ class TestSweepK:
         with pytest.raises(ConfigError, match="^k must be an integer$"):
             sweep_k(self.train, self.dev, 2, [0, k], self.config)
 
-    @pytest.mark.parametrize("dev, message", [
-        ([], "nothing to evaluate"),
+    @pytest.mark.parametrize("dev, error, message", [
+        ([], ConfigError, "nothing to evaluate"),
         ([(x, tag if i else None) for i, (x, tag) in enumerate(make_xor_tagged(2, 3))],
-         "every dev instance needs a gold tag"),
-    ], ids=["empty", "a row without a tag"])
+         ConfigError, "every dev instance needs a gold tag"),
+        ([*make_xor_tagged(2, 3), (SparseVector([1, 5], [1.0, 1.0]), "O")],
+         DimensionMismatchError, "feature index 5 out of range for n=2"),
+    ], ids=["empty", "a row without a tag", "an index out of range"])
     def test_unusable_dev_set_is_refused_before_any_training(self, monkeypatch, forks, dev,
-                                                             message):
-        calls = []
-        real = multiclass.train_binary
+                                                             error, message):
+        def train_labels(data, n, config, *args, **kwargs):
+            raise AssertionError(f"the job of k={config.k} started")
 
-        def train_binary(*args, **kwargs):
-            calls.append(args[2].k)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(multiclass, "train_binary", train_binary)
+        monkeypatch.setattr(multiclass, "_train_labels", train_labels)
         usable_cpus(monkeypatch, 2)
-        with pytest.raises(ConfigError, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^{message}$"):
             sweep_k(make_xor_tagged(5, 1), dev, 2, [0, 2, 4], replace(self.config, epochs=1))
-        assert calls == [] and forks == []
+        assert forks == []
+
+    @pytest.mark.parametrize("k", [2**28 - 1, 2**28, 2**40])
+    def test_no_features_and_a_huge_k_allocate_nothing(self, k):
+        # with no rows in V there is no factor work, so nothing of size k is built
+        data = [(SparseVector.empty(), "A"), (SparseVector.empty(), "B")]
+        tracemalloc.start()
+        try:
+            assert sweep_k(data, data[:1], 0, [k], TrainConfig(epochs=1)) == [(k, 1.0)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFormatting:

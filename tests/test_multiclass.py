@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,14 +27,22 @@ from fmnec import (
     load_ova_model,
     save_ova_model,
     sweep_k,
+    train_binary,
     train_ova,
 )
 
-from fmnec import multiclass
+from fmnec import multiclass, train
 from fmnec.fm import _Batch
 from fmnec.util import derive_seed
 
-from helpers import assert_reaped, b64_line, make_xor_tagged, random_model, usable_cpus
+from helpers import (
+    assert_reaped,
+    b64_line,
+    make_xor_tagged,
+    random_instance,
+    random_model,
+    usable_cpus,
+)
 
 ZERO = b64_line(0.0)
 
@@ -365,47 +374,45 @@ def sweep_recorded(monkeypatch, data, dev, n, k_values, config):
     return results, scored
 
 
-def patch_train_binary(monkeypatch, log, config, effects, where="worker", meet=0):
-    """Run ``effects[label](on_epoch)`` before training that label ``where`` ("caller",
+def patch_train_labels(monkeypatch, log, effects, where="worker", meet=0):
+    """Run ``effects[k](on_epoch)`` before training the job of that k ``where`` ("caller",
     "worker" or "anywhere").  Every process appends a line to the file ``log`` for each job it
-    starts; the function returned reads them back as (``where``, pid, label, k) in the order
-    of each process.  With ``meet`` processes, the first job of each waits until that many
-    have started one, so that every process trains at least one job."""
-    real = multiclass.train_binary
+    starts; the function returned reads them back as (``where``, pid, k) in the order of each
+    process.  With ``meet`` processes, the first job of each waits until that many have
+    started one, so that every process trains at least one job."""
+    real = multiclass._train_labels
     caller = os.getpid()
-    by_seed = {derive_seed(config.seed, "ova-label", f"T{i}"): f"T{i}" for i in range(10)}
 
     def trained():
         lines = log.read_text().splitlines() if log.exists() else []
-        return [(here, int(pid), label, int(k)) for here, pid, label, k in map(str.split, lines)]
+        return [(here, int(pid), int(k)) for here, pid, k in map(str.split, lines)]
 
-    def train_binary(data, n, label_config, on_epoch=None):
-        label = by_seed.get(label_config.seed)
+    def train_labels(data, n, config, seeds, signs, on_epoch=None):
         here = "caller" if os.getpid() == caller else "worker"
         with open(log, "a") as fh:  # one short append: lines of different processes never mix
-            fh.write(f"{here} {os.getpid()} {label} {label_config.k}\n")
-        if [pid for _, pid, _, _ in trained()].count(os.getpid()) == 1:
+            fh.write(f"{here} {os.getpid()} {config.k}\n")
+        if [pid for _, pid, _ in trained()].count(os.getpid()) == 1:
             deadline = time.monotonic() + 10
-            while len({pid for _, pid, _, _ in trained()}) < meet:
+            while len({pid for _, pid, _ in trained()}) < meet:
                 assert time.monotonic() < deadline, f"{meet} processes did not start a job in 10 s"
                 time.sleep(0.005)
-        effect = effects.get(label)
+        effect = effects.get(config.k)
         if effect is not None and where in ("anywhere", here):
             effect(on_epoch)
-        return real(data, n, label_config, on_epoch=on_epoch)
+        return real(data, n, config, seeds, signs, on_epoch=on_epoch)
 
-    monkeypatch.setattr(multiclass, "train_binary", train_binary)
+    monkeypatch.setattr(multiclass, "_train_labels", train_labels)
     return trained
 
 
-def train_without_fork(data, n, config):
+def train_without_fork(data, n, configs):
     os.fork = None  # in a Pool worker: any attempt to fork fails
-    return train_ova(data, n, config)
+    return list(multiclass._train_configs(data, n, configs))
 
 
 def raising(exc):
     def effect(on_epoch):
-        on_epoch(0, 0.5)
+        on_epoch(0, 0, 0.5)
         raise exc
     return effect
 
@@ -420,43 +427,115 @@ class Needs2(Exception):
         super().__init__(f"{a}/{b}")
 
 
-class TestTracedTrainingCalls:
-    """``bench/layers.py`` wraps ``train_binary`` and reads each call: ``len(args[0])`` is the
-    instance count, ``args[2].epochs`` the epoch count, and the ``on_epoch`` keyword is called
-    once per epoch.  At one CPU every job runs here, so a recorder sees each of them."""
+class TestTrainingJobCalls:
+    """A job is one config: ``_train_jobs`` makes one ``_train_labels`` call per config, with
+    every label under its derived seed, and each label reports every epoch.  At one CPU every
+    job runs here, so a recorder sees each of them."""
 
     def record(self, monkeypatch):
         calls = []
-        real = multiclass.train_binary
+        real = multiclass._train_labels
 
-        def train_binary(*args, **kwargs):
+        def train_labels(data, n, config, seeds, signs, on_epoch=None):
             epochs = []
-            user = kwargs["on_epoch"]
 
-            def on_epoch(epoch, mean_loss):
-                epochs.append(epoch)
-                user(epoch, mean_loss)
+            def report(label, epoch, mean_loss):
+                epochs.append((label, epoch))
+                on_epoch(label, epoch, mean_loss)
 
-            calls.append((len(args), len(args[0]), args[2].epochs, sorted(kwargs), epochs))
-            return real(*args, on_epoch=on_epoch)
+            calls.append((len(data), config.k, seeds, signs.shape, epochs))
+            return real(data, n, config, seeds, signs, on_epoch=report)
 
         usable_cpus(monkeypatch, 1)
-        monkeypatch.setattr(multiclass, "train_binary", train_binary)
+        monkeypatch.setattr(multiclass, "_train_labels", train_labels)
         return calls
 
-    def test_train_ova_makes_one_call_per_label(self, monkeypatch):
+    def test_train_ova_makes_one_call(self, monkeypatch):
         calls = self.record(monkeypatch)
         train_ova(tagged(3, size=40), 12, cfg(epochs=4))
-        assert calls == [(3, 40, 4, ["on_epoch"], [0, 1, 2, 3])] * 3
+        seeds = [derive_seed(0, "ova-label", f"T{i}") for i in range(3)]
+        assert calls == [(40, 0, seeds, (3, 40), [(l, e) for e in range(4) for l in range(3)])]
 
-    def test_sweep_k_makes_one_call_per_k_and_label(self, monkeypatch):
+    def test_sweep_k_makes_one_call_per_k(self, monkeypatch):
         calls = self.record(monkeypatch)
         sweep_k(tagged(2, size=30), tagged(2, size=10, seed=1), 12, [0, 2, 5], cfg(epochs=3))
-        assert calls == [(3, 30, 3, ["on_epoch"], [0, 1, 2])] * 6
+        seeds = [derive_seed(0, "ova-label", f"T{i}") for i in range(2)]
+        epochs = [(l, e) for e in range(3) for l in range(2)]
+        assert calls == [(30, k, seeds, (2, 30), epochs) for k in (5, 2, 0)]
+
+
+class TestLockstep:
+    """The labels of a config train in lockstep, each on its own visiting order."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    @pytest.mark.parametrize("values", ["binary", "real"])
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_each_label_trains_as_it_does_alone(self, monkeypatch, cpus, values, loss):
+        # alone with train_binary under its derived config, in train_ova, and in sweep_k
+        rng = np.random.default_rng(8)
+        data = [(random_instance(rng, 12, 5, binary=values == "binary"), f"T{i % 3}")
+                for i in range(45)]
+        config = cfg(loss=loss, epochs=3, reg_w=1e-3, reg_v=1e-3)
+        usable_cpus(monkeypatch, cpus)
+        _, scored = sweep_recorded(monkeypatch, data, data[:9], 12, [0, 2, 16], config)
+        assert [k for k, _ in scored] == [16, 2, 0]
+        for k, models in scored:
+            k_config = replace(config, k=k)
+            alone = [train_binary([(x, 1 if tag == label else -1) for x, tag in data], 12,
+                                  replace(k_config, seed=derive_seed(0, "ova-label", label)))
+                     for label in ("T0", "T1", "T2")]
+            assert models == [(m.w0, m.w.tobytes(), m.V.tobytes()) for m in alone]
+            assert train_recorded(data, 12, k_config)[0] == models
+
+    # a label that diverges ends the training of every later one: the on_epoch calls and the
+    # message of the per-label loop that trained one label after another, kept verbatim;
+    # feature 0's values of 1e30 blow up label B's factors
+    PER_LABEL_DIVERGENCE = {
+        "hinge": ("label B: training diverged at epoch 3: the mean loss (nan) or the parameters "
+                  "are not finite; lower the learning rate",
+                  [("A", 0, 0.16666666666666666), ("A", 1, 0.0), ("A", 2, 0.0), ("A", 3, 0.0),
+                   ("A", 4, 0.0), ("B", 0, 1.9667515692061638e+59),
+                   ("B", 1, 2.9168252526839083e+301)]),
+        "logistic": ("label B: training diverged at epoch 4: the mean loss (nan) or the "
+                     "parameters are not finite; lower the learning rate",
+                     [("A", 0, 0.16773481134636137), ("A", 1, 0.0), ("A", 2, 0.0), ("A", 3, 0.0),
+                      ("A", 4, 0.0), ("B", 0, 1.0007100823653568e+59),
+                      ("B", 1, 1.0825607440843386e+179), ("B", 2, 9.021339534036148e+178)]),
+    }
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])  # the labels in 1, 2 or 3 lockstep groups
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_divergence_gives_the_per_label_message_and_calls(self, monkeypatch, loss, cpus):
+        data = [(SparseVector([0, 1], [1e30, 3.0]), "A"), (SparseVector([1, 2], [2.0, 1.0]), "B"),
+                (SparseVector([0, 2], [-1e30, 1.0]), "C")] * 2
+        config = TrainConfig(k=1, learning_rate=1.0, reg_w=0, reg_v=0, epochs=5, seed=3, loss=loss)
+        usable_cpus(monkeypatch, cpus)
+        with np.errstate(all="ignore"):
+            assert train_recorded(data, 3, config) == self.PER_LABEL_DIVERGENCE[loss]
+
+    def test_the_first_label_to_diverge_in_label_order_raises(self, monkeypatch):
+        # T2 diverges in epoch 1 and T1 in epoch 2: T1's error comes after T0's three
+        # epochs and T1's first; no later label trains on past its error
+        real, lives = train._sgd, []
+
+        def sgd(params, live, batch, orders, signs, config):
+            totals = real(params, live, batch, orders, signs, config)
+            for label in [2, 1][len(lives):len(lives) + 1]:
+                params[1][label, 0] = np.inf
+            lives.append(live.tolist())
+            return totals
+
+        monkeypatch.setattr(train, "_sgd", sgd)
+        usable_cpus(monkeypatch, 1)  # the three labels train in one lockstep group
+        calls = []
+        with pytest.raises(ConfigError, match="^label T1: training diverged at epoch 2: "):
+            train_ova(tagged(3), 12, cfg(epochs=3), on_epoch=lambda *args: calls.append(args[:2]))
+        assert calls == [("T0", 0), ("T0", 1), ("T0", 2), ("T1", 0)]
+        assert lives == [[0, 1, 2], [0, 1], [0]]
 
 
 class TestParallelTraining:
-    """Labels train on one process per usable CPU; nothing observable may depend on it."""
+    """Configs train on one process per usable CPU; nothing observable may depend on it."""
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
@@ -471,7 +550,7 @@ class TestParallelTraining:
         usable_cpus(monkeypatch, cpus)
         assert train_recorded(data, 12, config) == serial
         assert len(serial[1]) == 3 * label_count
-        assert_reaped(forks, min(cpus, label_count) - 1)
+        assert_reaped(forks, min(cpus, label_count) - 1)  # a lockstep group of labels per CPU
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_divergence_same_message_and_calls_as_one_cpu(self, monkeypatch, cpus):
@@ -485,59 +564,62 @@ class TestParallelTraining:
         assert serial[0].startswith("label ENT: training diverged at epoch 1")
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_first_failure_in_label_order_raises(self, monkeypatch, forks, tmp_path, cpus):
-        # cpus + 1 labels, so the caller has a second job, which fails at once. With meet,
-        # the processes' first jobs are the first cpus labels; each worker fails in its first
-        # once the caller has started its second, so a later failure in the caller comes
-        # first in time. The lowest failing label wins, after the two epochs of every label
-        # before it and the one epoch it reported.
+    def test_first_failure_in_job_order_raises(self, monkeypatch, forks, tmp_path, cpus):
+        # cpus + 1 configs, k = cpus .. 0 in job order, so the caller has a second job, which
+        # fails at once. With meet, the processes' first jobs are the first cpus configs; each
+        # worker fails in its first once the caller has started its second, so a later
+        # failure in the caller comes first in time. The first failing job wins, after the two
+        # epochs of each label of every job before it and the one epoch it reported.
         caller = os.getpid()
 
         def fail(on_epoch):
             deadline = time.monotonic() + 10
-            while os.getpid() != caller and [p for _, p, _, _ in trained()].count(caller) < 2:
+            while os.getpid() != caller and [p for _, p, _ in trained()].count(caller) < 2:
                 assert time.monotonic() < deadline, "the caller did not start a second job"
                 time.sleep(0.005)
             if os.getpid() != caller:
                 raising(ConfigError("one"))(on_epoch)
-            if [p for _, p, _, _ in trained()].count(caller) == 2:
+            if [p for _, p, _ in trained()].count(caller) == 2:
                 raising(ValueError("two"))(on_epoch)
 
-        config = cfg(epochs=2)
-        effects = {f"T{i}": fail for i in range(cpus + 1)}
-        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, effects, "anywhere",
+        effects = {k: fail for k in range(cpus + 1)}
+        trained = patch_train_labels(monkeypatch, tmp_path / "log", effects, "anywhere",
                                      meet=cpus)
         usable_cpus(monkeypatch, cpus)
         calls = []
+        configs = [cfg(k=k, epochs=2) for k in range(cpus + 1)]
         with pytest.raises(ValueError) as err:
-            train_ova(tagged(cpus + 1), 12, config, on_epoch=lambda *args: calls.append(args))
-        workers = sorted(label for here, _, label, _ in trained() if here == "worker")
+            list(multiclass._train_configs(tagged(2), 12, configs,
+                                           on_epoch=lambda *args: calls.append(args)))
+        workers = sorted((k for here, _, k in trained() if here == "worker"), reverse=True)
         assert len(workers) == cpus - 1  # one job each: the one that failed
-        assert [here for here, _, _, _ in trained()].count("caller") == 2
-        first = workers[0] if workers else "T1"
-        expected = ConfigError(f"label {first}: one") if workers else ValueError("two")
+        assert [here for here, _, _ in trained()].count("caller") == 2
+        first = workers[0] if workers else 0
+        expected = ConfigError("one") if workers else ValueError("two")
         assert (type(err.value), str(err.value)) == (type(expected), str(expected))
-        before = [(f"T{i}", epoch) for i in range(int(first[1:])) for epoch in (0, 1)]
-        assert [(label, epoch) for label, epoch, _ in calls] == before + [(first, 0)]
+        before = [(f"T{i}", epoch) for i in range(2) for epoch in (0, 1)] * (cpus - first)
+        assert [(label, epoch) for label, epoch, _ in calls] == before + [("T0", 0)]
         assert_reaped(forks, cpus - 1)
 
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_every_job_is_trained_once(self, monkeypatch, forks, tmp_path, cpus):
-        # 6 (k, label) jobs; every process takes at least one, the rest as it finishes
-        config = cfg(epochs=1)
+        # 6 jobs, one per k; every process takes at least one, the rest as it finishes
         workers = min(cpus, 6) - 1
-        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, {}, meet=workers + 1)
+        trained = patch_train_labels(monkeypatch, tmp_path / "log", {}, meet=workers + 1)
         usable_cpus(monkeypatch, cpus)
-        sweep_k(tagged(3, size=60), tagged(3, size=30, seed=1), 12, [0, 2], config)
+        sweep_k(tagged(3, size=60), tagged(3, size=30, seed=1), 12, range(6), cfg(epochs=1))
         jobs = trained()
-        assert sorted((label, k) for _, _, label, k in jobs) == [
-            (f"T{i}", k) for i in range(3) for k in (0, 2)]
-        assert len({pid for _, pid, _, _ in jobs}) == workers + 1
+        assert sorted(k for _, _, k in jobs) == list(range(6))
+        assert len({pid for _, pid, _ in jobs}) == workers + 1
         assert_reaped(forks, workers)
 
-    @pytest.mark.parametrize("k_values", [[0, 5, 16], [16, 0]])
+    @pytest.mark.parametrize("k_values, workers", [
+        ([0, 5, 16], {1: 0, 2: 1, 3: 2, 8: 5}),  # at 8 CPUs, 2 groups of labels per k
+        ([16, 0], {1: 0, 2: 1, 3: 1, 8: 5}),  # at 3, one CPU idle; at 8, a group per label
+    ])
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_sweep_same_models_and_results_as_one_cpu(self, monkeypatch, forks, cpus, k_values):
+    def test_sweep_same_models_and_results_as_one_cpu(self, monkeypatch, forks, cpus, k_values,
+                                                      workers):
         data, dev = tagged(3, size=60), tagged(3, size=30, seed=1)
         config = cfg(epochs=2, reg_w=1e-3, reg_v=1e-3)
         usable_cpus(monkeypatch, 1)
@@ -550,7 +632,7 @@ class TestParallelTraining:
         assert [k for k, _ in results] == k_values
         # longest k first, each model scored as soon as its labels are in
         assert scored == [(k, per_k[k]) for k in sorted(k_values, reverse=True)]
-        assert_reaped(forks, min(cpus, 3 * len(k_values)) - 1)  # one fork per worker, not per k
+        assert_reaped(forks, workers[cpus])  # one fork per worker, not per job
 
     @pytest.mark.parametrize("k_values, k", [([5, 5], 5), ([0, 5, 16, 0], 0)])
     def test_sweep_rejects_a_repeated_k(self, monkeypatch, k_values, k):
@@ -570,21 +652,22 @@ class TestParallelTraining:
             errors.append(str(err.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith("label ENT: training diverged at epoch 1")
-        assert_reaped(forks, min(cpus, 4) - 1)
+        assert_reaped(forks, 3 if cpus == 8 else 1)  # at 8 CPUs, one job per (k, label)
 
     @pytest.mark.parametrize("serial", ["one cpu", "one label", "no sched_getaffinity"])
     def test_serial_cases_start_no_process(self, monkeypatch, tmp_path, serial):
-        config = cfg(epochs=1)
-        labels = 1 if serial == "one label" else 3
-        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, {})
+        trained = patch_train_labels(monkeypatch, tmp_path / "log", {})
         if serial == "no sched_getaffinity":
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
             usable_cpus(monkeypatch, 1 if serial == "one cpu" else 4)
         monkeypatch.setattr(os, "fork", None)  # starting a process would fail
-        train_ova(tagged(labels), 12, config)
-        assert [(here, label) for here, _, label, _ in trained()] == [
-            ("caller", f"T{i}") for i in range(labels)]
+        if serial == "one label":  # train_ova: one job, however many CPUs
+            train_ova(tagged(1), 12, cfg(epochs=1))
+        else:
+            sweep_k(tagged(3), tagged(3, seed=1), 12, [0, 1, 2], cfg(epochs=1))
+        ks = [0] if serial == "one label" else [2, 1, 0]
+        assert [(here, k) for here, _, k in trained()] == [("caller", k) for k in ks]
 
     @pytest.mark.parametrize("fits", [True, False])
     def test_job_records_that_overflow_the_pipe_train_in_this_process(self, monkeypatch, forks,
@@ -598,14 +681,14 @@ class TestParallelTraining:
             fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 1)
             return read_end, write_end
 
-        def train_binary(data, n, config, on_epoch=None):
-            return FMModel(0.0, np.zeros(n), np.zeros((n, config.k)))
+        def train_labels(data, n, config, seeds, signs, on_epoch=None):
+            return [FMModel(0.0, np.zeros(n), np.zeros((n, config.k)))] * len(seeds), None
 
         def blocked(signum, frame):
             raise TimeoutError("the write of the job queue blocked")
 
         monkeypatch.setattr(os, "pipe", pipe)
-        monkeypatch.setattr(multiclass, "train_binary", train_binary)
+        monkeypatch.setattr(multiclass, "_train_labels", train_labels)
         usable_cpus(monkeypatch, 2)
         count = resource.getpagesize() // 2 + (0 if fits else 1)
         previous = signal.signal(signal.SIGALRM, blocked)
@@ -621,17 +704,17 @@ class TestParallelTraining:
     @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # the Pool's own fork
     def test_daemonic_caller_trains_serially(self, monkeypatch):
         # a Pool worker is a daemon, which its pool may end with no chance to
-        # end the daemon's own children; there train_ova must not fork
+        # end the daemon's own children; there the jobs must not fork
         data = make_xor_tagged(5, 1)
-        config = cfg(k=1, epochs=2)
+        configs = [cfg(k=1, epochs=2), cfg(k=0, epochs=2)]
         usable_cpus(monkeypatch, 2)
         with multiprocessing.get_context("fork").Pool(1) as pool:
-            model = pool.apply(train_without_fork, (data, 2, config))
-        assert model == train_ova(data, 2, config)
+            models = pool.apply(train_without_fork, (data, 2, configs))
+        assert models == list(multiclass._train_configs(data, 2, configs))
 
     def test_no_worker_outlives_an_interrupt_in_the_caller(self, monkeypatch, forks, tmp_path):
         # the caller's first job is interrupted while both workers train theirs for a
-        # minute: train_ova ends both workers and returns at once
+        # minute: sweep_k ends both workers and returns at once
         caller = os.getpid()
 
         def effect(on_epoch):
@@ -639,13 +722,12 @@ class TestParallelTraining:
                 raise KeyboardInterrupt
             time.sleep(60)
 
-        config = cfg(epochs=1)
-        effects = {f"T{i}": effect for i in range(3)}
-        patch_train_binary(monkeypatch, tmp_path / "log", config, effects, "anywhere", meet=3)
+        effects = {k: effect for k in range(3)}
+        patch_train_labels(monkeypatch, tmp_path / "log", effects, "anywhere", meet=3)
         usable_cpus(monkeypatch, 3)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            train_ova(tagged(3), 12, config)
+            sweep_k(tagged(3), tagged(3, seed=1), 12, [0, 1, 2], cfg(epochs=1))
         assert time.monotonic() - start < 20
         assert_reaped(forks, 2)
 
@@ -655,19 +737,18 @@ class TestParallelTraining:
         real_kill = os.kill
         monkeypatch.setattr(os, "kill", lambda pid, sig: (kills.append(sig), real_kill(pid, sig)))
         usable_cpus(monkeypatch, 2)
-        train_ova(tagged(4), 12, cfg(epochs=2))
+        sweep_k(tagged(4), tagged(4, seed=1), 12, [0, 1, 2, 3], cfg(epochs=2))
         assert signal.SIGTERM not in kills
         assert_reaped(forks, 1)
 
     def test_worker_exception_comes_back_whole(self, monkeypatch, forks, capfd, tmp_path):
-        config = cfg(epochs=1)
         error = DimensionMismatchError("feature index 99 out of range for n=12")
-        effects = {f"T{i}": raising(error) for i in range(2)}  # whichever the worker trains
-        patch_train_binary(monkeypatch, tmp_path / "log", config, effects, meet=2)
+        effects = {k: raising(error) for k in range(2)}  # whichever the worker trains
+        patch_train_labels(monkeypatch, tmp_path / "log", effects, meet=2)
         usable_cpus(monkeypatch, 2)
         message = "^feature index 99 out of range for n=12$"
         with pytest.raises(DimensionMismatchError, match=message):
-            train_ova(tagged(2), 12, config)
+            sweep_k(tagged(2), tagged(2, seed=1), 12, [0, 1], cfg(epochs=1))
         assert "Traceback" not in capfd.readouterr().err
         assert_reaped(forks, 1)
 
@@ -676,28 +757,26 @@ class TestParallelTraining:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_unsendable_exception_is_one_stated_error_at_any_cpu_count(self, monkeypatch, forks,
                                                                        capfd, tmp_path, cpus, exc):
-        # every label raises in the caller at 1 CPU, and in the worker at 2: with meet, the
-        # worker starts one of the first two labels and fails there; the caller raises nothing
-        config = cfg(epochs=1)
+        # every job raises in the caller at 1 CPU, and in the worker at 2: with meet, the
+        # worker starts one of the first two jobs and fails there; the caller raises nothing
         where = "caller" if cpus == 1 else "worker"
-        effects = {f"T{i}": raising(exc) for i in range(3)}
-        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, effects, where,
-                                     meet=cpus)
+        effects = {k: raising(exc) for k in range(3)}
+        trained = patch_train_labels(monkeypatch, tmp_path / "log", effects, where, meet=cpus)
         usable_cpus(monkeypatch, cpus)
         with pytest.raises(RuntimeError) as err:
-            train_ova(tagged(3), 12, config)
-        [label] = [label for here, _, label, _ in trained() if here == where]
+            sweep_k(tagged(3), tagged(3, seed=1), 12, [0, 1, 2], cfg(epochs=1))
+        [k] = [k for here, _, k in trained() if here == where]
         assert type(err.value) is RuntimeError
-        assert str(err.value) == (f"label {label}: training raised {type(exc).__name__}, "
+        assert str(err.value) == (f"training with k={k} raised {type(exc).__name__}, "
                                   f"which cannot be sent between processes: {exc}")
         assert "Traceback" not in capfd.readouterr().err
         assert_reaped(forks, cpus - 1)
 
     @pytest.mark.parametrize("cpus", [2, 3])
-    def test_dead_worker_names_the_labels_no_process_delivered(self, monkeypatch, forks, capfd,
-                                                               tmp_path, cpus):
+    def test_dead_worker_names_the_k_no_process_delivered(self, monkeypatch, forks, capfd,
+                                                          tmp_path, cpus):
         # the first worker to start a job dies in it; the caller and any other worker
-        # deliver every other job, so the error names that job's label alone
+        # deliver every other job, so the error names that job's k alone
         def die(on_epoch):
             try:
                 fd = os.open(tmp_path / "died", os.O_WRONLY | os.O_CREAT | os.O_EXCL)
@@ -706,16 +785,15 @@ class TestParallelTraining:
             os.write(fd, str(os.getpid()).encode())
             os._exit(3)
 
-        config = cfg(epochs=1)
-        effects = {f"T{i}": die for i in range(4)}
-        trained = patch_train_binary(monkeypatch, tmp_path / "log", config, effects, meet=cpus)
+        effects = {k: die for k in range(4)}
+        trained = patch_train_labels(monkeypatch, tmp_path / "log", effects, meet=cpus)
         usable_cpus(monkeypatch, cpus)
         with pytest.raises(ChildProcessError) as err:
-            sweep_k(tagged(4), tagged(4, seed=1), 12, [0, 2], config)
+            sweep_k(tagged(4), tagged(4, seed=1), 12, [0, 1, 2, 3], cfg(epochs=1))
         dead = int((tmp_path / "died").read_text())
-        [(label, k)] = [(label, k) for _, pid, label, k in trained() if pid == dead]
+        [k] = [k for _, pid, k in trained() if pid == dead]
         assert str(err.value) == ("a training worker exited with code 3 before sending its "
-                                  f"results, so labels {label} have no model")
+                                  f"results: no model for k={k}")
         assert capfd.readouterr().err == ""
         assert_reaped(forks, cpus - 1)
 
@@ -732,17 +810,17 @@ class TestParallelTraining:
         usable_cpus(monkeypatch, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            train_ova(tagged(2), 12, cfg(epochs=1))
+            sweep_k(tagged(2), tagged(2, seed=1), 12, [0, 1], cfg(epochs=1))
 
     def test_buffered_output_is_written_once(self):
         # a fork child that flushed the stdout buffer it inherited would write it again
         script = (
             "import os, sys\n"
-            "from fmnec import SparseVector, TrainConfig, train_ova\n"
+            "from fmnec import SparseVector, TrainConfig, sweep_k\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "sys.stdout.write('unflushed marker\\n')\n"
-            "train_ova([(SparseVector([0], [1.0]), 'A'), (SparseVector([1], [1.0]), 'B')],\n"
-            "          2, TrainConfig(k=1, epochs=1))\n"
+            "data = [(SparseVector([0], [1.0]), 'A'), (SparseVector([1], [1.0]), 'B')]\n"
+            "sweep_k(data, data, 2, [0, 1], TrainConfig(epochs=1))\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(fmnec.__file__)))
         env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}

@@ -19,6 +19,7 @@ from fmnec import (
     train_binary,
 )
 from fmnec import train
+from fmnec.fm import _Batch
 from fmnec.train import _loss_and_slope
 from fmnec.util import derive_seed
 
@@ -31,6 +32,23 @@ def cfg(**kwargs):
     return TrainConfig(**defaults)
 
 
+def reference_score(w0, w, V, x):
+    """The raw score of ``_Batch.scores``' formula in Python floats: w0 plus the sum of
+    w[i] x[i], then 0.5 times the sum over f of (T_f^2 - S_f), each sum taken in order
+    from 0.0.  Its bits are the pre-update score of every SGD step."""
+    pairs = linear = 0.0
+    for i, v in zip(x.indices.tolist(), x.values.tolist()):
+        linear += float(w[i]) * v
+    for f in range(V.shape[1]):
+        total = squares = 0.0
+        for i, v in zip(x.indices.tolist(), x.values.tolist()):
+            scaled = float(V[i, f]) * v
+            total += scaled
+            squares += scaled * scaled
+        pairs += total * total - squares
+    return w0 + linear + 0.5 * pairs
+
+
 def reference_step(model, x, y, config):
     """The update of the ``fmnec.train`` docstring, one allocating expression per
     parameter group, with no shortcut for binary instances: the bits training must give."""
@@ -38,9 +56,7 @@ def reference_step(model, x, y, config):
     w_act, V_act = model.w[idx], model.V[idx]
     scaled = V_act * vals[:, None]
     per_factor = scaled.sum(axis=0)
-    score = model.w0 + float(w_act @ vals)
-    if model.k and idx.size > 1:
-        score += 0.5 * float(per_factor @ per_factor - (scaled * scaled).sum())
+    score = reference_score(model.w0, model.w, model.V, x)
     _, g = _loss_and_slope(config.loss, score, y)
     lr = config.learning_rate
     model.w0 -= lr * g
@@ -52,9 +68,12 @@ def reference_step(model, x, y, config):
         model.V[idx] = V_act - lr * (config.reg_v * V_act)
 
 
-def parent_epoch(model, data, order, config, binary):
+def parent_epoch(model, data, order, config, binary, rescore=True):
     """The SGD epoch as it ran on ``(SparseVector, label)`` pairs before training took CSR
-    batches, kept verbatim: the bits ``train._epoch`` must give on every kind of data."""
+    batches and labels trained in lockstep, verbatim but, with ``rescore``, for the score:
+    ``reference_score``'s, the bits training must give on every kind of data.  Without it
+    the loop is verbatim, and gives the bits of every hinge model, whose slope reads the
+    score only through the margin."""
     w, V, w0, k = model.w, model.V, model.w0, model.k
     lr, reg_w, reg_v, g = map(np.array, (config.learning_rate, config.reg_w, config.reg_v, 0.0))
     rows = V.view(np.dtype((np.void, 8 * k))).reshape(-1) if k else None  # V is C-ordered
@@ -71,6 +90,8 @@ def parent_epoch(model, data, order, config, binary):
             if idx.size > 1:
                 score += 0.5 * (float(per_factor.dot(per_factor))
                                 - float(np.add.reduce((scaled * scaled).ravel())))
+        if rescore:
+            score = reference_score(w0, w, V, x)
         loss, slope = _loss_and_slope(config.loss, score, y)
         total += loss
         w0 -= config.learning_rate * slope
@@ -88,12 +109,13 @@ def parent_epoch(model, data, order, config, binary):
     return total
 
 
-def parent_train(data, n, config):
+def parent_train(data, n, config, rescore=True):
     """``train_binary`` as it ran ``parent_epoch``: one all-1.0 flag for the whole set."""
     model = init_model(n, config)
     binary = all((x.values == 1.0).all() for x, _ in data)
     rng = np.random.default_rng(derive_seed(config.seed, "shuffle"))
-    losses = [parent_epoch(model, data, rng.permutation(len(data)), config, binary) / len(data)
+    losses = [parent_epoch(model, data, rng.permutation(len(data)), config, binary,
+                           rescore) / len(data)
               for _ in range(config.epochs)]
     return model, losses
 
@@ -176,6 +198,13 @@ class TestInitModel:
     def test_sample_std_dev(self):
         m = init_model(1000, cfg(k=5, init_sd=0.1))
         assert 0.08 <= float(m.V.std()) <= 0.12
+
+    @pytest.mark.parametrize("init_sd", [0.0, 0.1, 5e-324, 1e300])
+    def test_factors_are_the_seeded_gaussian_draw(self, init_sd):
+        # drawn in place, with the bits of the generator's normal(0, init_sd)
+        m = init_model(40, cfg(k=6, init_sd=init_sd, seed=9))
+        rng = np.random.default_rng(derive_seed(9, "factor-init"))
+        assert m.V.tobytes() == rng.normal(0.0, init_sd, size=(40, 6)).tobytes()
 
     def test_negative_dimension_rejected(self):
         with pytest.raises(ConfigError):
@@ -272,6 +301,18 @@ class TestSgdStep:
         assert np.float64(model.w0).tobytes() == np.float64(expected.w0).tobytes()
         assert model.w.tobytes() == expected.w.tobytes()
         assert model.V.tobytes() == expected.V.tobytes()
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["real", "binary"])
+    def test_logistic_step_moves_w0_by_the_slope_at_the_batch_score(self, binary):
+        rng = np.random.default_rng(12)
+        config = cfg(k=4, loss="logistic", learning_rate=0.3)
+        for _ in range(20):
+            model = random_model(rng, 12, 4)
+            x = random_instance(rng, 12, 9, binary=binary)
+            y = int(rng.choice([-1, 1]))
+            w0, score = model.w0, float(_Batch.of([x]).scores(model)[0])
+            sgd_step(model, (x, y), config)
+            assert model.w0 == w0 - 0.3 * _loss_and_slope("logistic", score, y)[1]
 
     def test_dimension_mismatch(self):
         m = FMModel(0.0, [0.0], [[0.0]])
@@ -400,12 +441,33 @@ class TestParentBits:
         model = train_binary(data, n, config, on_epoch=lambda e, mean: seen.append(mean))
         assert model_bits(model) == model_bits(expected)
         assert np.array(seen).view(np.int64).tolist() == np.array(losses).view(np.int64).tolist()
+        if loss == "hinge":  # the slope reads the score only through the margin
+            assert model_bits(model) == model_bits(parent_train(data, n, config, False)[0])
         expected = random_model(rng, n, k)
         model = expected.copy()
         for x, y in data:
             sgd_step(model, (x, y), config)
             parent_epoch(expected, [(x, y)], [0], config, bool((x.values == 1.0).all()))
         assert model_bits(model) == model_bits(expected)
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["real", "binary"])
+    def test_hinge_keeps_the_pairwise_column_sums_at_k_1(self, binary):
+        # the per-label loop summed a lone factor column of 8 or more entries pairwise; each
+        # label of a lockstep run, and one alone, keeps those sums
+        rng = np.random.default_rng(21)
+        rows = [random_instance(rng, 80, 70, min_nnz=8, binary=binary) for _ in range(30)]
+        signs = rng.choice(np.array([-1, 1], np.int8), size=(3, len(rows)))
+        config = cfg(k=1, loss="hinge", epochs=3, learning_rate=0.3, reg_v=1e-2)
+        seeds = [4, 5, 6]
+        models, failure = train._train_labels(_Batch.of(rows), 80, config, seeds, signs)
+        assert failure is None
+        for model, seed, y in zip(models, seeds, signs.tolist()):
+            label_config = cfg(k=1, loss="hinge", epochs=3, learning_rate=0.3, reg_v=1e-2,
+                               seed=seed)
+            expected = parent_train(list(zip(rows, y)), 80, label_config, rescore=False)[0]
+            assert model_bits(model) == model_bits(expected)
+            alone = train_binary(list(zip(rows, y)), 80, label_config)
+            assert model_bits(alone) == model_bits(expected)
 
 
 class TestTrainBinary:
@@ -490,6 +552,19 @@ class TestTrainBinary:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("k", [2**28 - 1, 2**28, 2**40])
+    def test_no_features_and_a_huge_k_allocate_nothing(self, k):
+        # with no rows in V there is no factor work, so nothing of size k is built
+        data = [(SparseVector.empty(), 1), (SparseVector.empty(), -1)]
+        tracemalloc.start()
+        try:
+            model = train_binary(data, 0, cfg(k=k, epochs=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (model.n, model.k) == (0, k)
+        assert peak < 2**20
 
     def test_epoch_callback_reports_mean_loss(self):
         data = [(SparseVector([0], [1.0]), 1)]
